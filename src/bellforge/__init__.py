@@ -45,6 +45,7 @@ from .flatmaps import (
     flat_projector,
     flat_state,
     global_unitary,
+    projector_consistency,
     verify_antimap,
 )
 from .fourier import clock, shift, verify_shift_diagonalization, walsh_hadamard

@@ -63,6 +63,8 @@ def closed_form_bell_cp1(two_j: int, tag: int) -> BipartiteState:
     """
     if tag not in (1, 2, 3, 4):
         raise DomainError(f"tag must be 1..4, got {tag}")
+    if two_j < 0:
+        raise DomainError("two_j must be nonnegative")
     dim = two_j + 1
     amps = np.zeros(dim * dim, dtype=complex)
     for k in range(dim):

@@ -22,23 +22,21 @@ import math
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import analysis, bell, fourier
-from .errors import BellforgeError
+from .errors import BellforgeError, DomainError
 from .flatmaps import (
     FlatMapId,
     cp1_catalog,
     cpn_catalog,
-    flat_projector,
-    flat_state,
-    global_unitary,
+    projector_consistency,
     verify_antimap,
 )
 from .coherent import level_one_states_from_homogeneous, spin_states_from_homogeneous
-from .projective import projector_of
-from .quadrature import MCSpec, QuadratureSpecCP1, QuadratureSpecCP2, sample_fubini_study
+from .quadrature import MCSpec, QuadratureSpecCP1, QuadratureSpecCP2, moment_cp1, sample_fubini_study
 
 DEFAULT_SEED = 0
 QUAD_TOL = 1e-10
@@ -50,14 +48,13 @@ SCHMIDT_TOL = 1e-10
 ENTROPY_TOL = 1e-9
 
 
-class Check:
+class Check(NamedTuple):
     """One named check: residual <= tolerance, or exact equality for ranks."""
 
-    def __init__(self, name: str, value, tolerance, mode: str = "le"):
-        self.name = name
-        self.value = value
-        self.tolerance = tolerance
-        self.mode = mode
+    name: str
+    value: object
+    tolerance: object
+    mode: str = "le"
 
     @property
     def ok(self) -> bool:
@@ -73,35 +70,25 @@ class Report:
         self.checks: list[Check] = []
         self.notes: list[str] = []
 
-    def add(self, name, value, tolerance, mode="le") -> Check:
-        check = Check(name, value, tolerance, mode)
-        self.checks.append(check)
-        return check
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
-
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def emit(self, out=sys.stdout) -> None:
-        print(f"command: {self.command}", file=out)
+    def emit(self) -> None:
+        """Print the report to sys.stdout as it is at the call, so a caller can redirect it."""
+        print(f"command: {self.command}")
         cfg = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(self.config.items()))
-        print(f"config: {cfg}", file=out)
+        print(f"config: {cfg}")
         for line in self.notes:
-            print(line, file=out)
+            print(line)
         for c in self.checks:
             rel = "==" if c.mode == "eq" else "<="
             status = "PASS" if c.ok else "FAIL"
-            print(
-                f"check {c.name}: value={_fmt(c.value)} {rel} {_fmt(c.tolerance)} {status}",
-                file=out,
-            )
+            print(f"check {c.name}: value={_fmt(c.value)} {rel} {_fmt(c.tolerance)} {status}")
         if self.checks:
             passed = sum(c.ok for c in self.checks)
             verdict = "PASS" if self.ok else "FAIL"
-            print(f"result: {verdict} ({passed}/{len(self.checks)})", file=out)
+            print(f"result: {verdict} ({passed}/{len(self.checks)})")
 
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="") as handle:
@@ -123,12 +110,15 @@ def _fmt(value) -> str:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("BELLFORGE_SEED")
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEED
+    """--seed, else BELLFORGE_SEED, else 0; anything but a nonnegative integer is a usage error."""
+    text = os.environ.get("BELLFORGE_SEED", DEFAULT_SEED) if args.seed is None else args.seed
+    try:
+        seed = int(text)
+    except ValueError:
+        raise DomainError(f"BELLFORGE_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _state_document(state: bell.BipartiteState) -> dict:
@@ -159,28 +149,26 @@ def _write_json(document: dict, path: str | None) -> None:
             handle.write(text + "\n")
 
 
-def _flat_from_args(args, parser) -> tuple[FlatMapId, int | None, int]:
-    """Return (flat id, two_j or None, state dimension) from --space/--flat/--n/--p/--q."""
-    space = args.space
-    if args.flat:
-        flat = FlatMapId.parse(args.flat)
-        if space == "cp1" and flat.space != "cp1":
-            parser.error(f"--flat {args.flat} does not belong to cp1")
-        if space == "cp2" and (flat.space != "cpn" or flat.n != 2):
-            parser.error(f"--flat {args.flat} does not belong to cp2")
-        if space == "cpn" and flat.space != "cpn":
-            parser.error(f"--flat {args.flat} does not belong to cpn")
+def _resolve_flat(space="cp1", flat=None, two_j=None, n=None, p=0, q=0):
+    """Return (flat id, two_j or None, state dimension) from the values of
+    --space/--flat/--two-j/--n/--p/--q."""
+    text = flat
+    if text:
+        flat = FlatMapId.parse(text)
+        accepted = {"cp1": ("cp1", 0), "cp2": ("cpn", 2), "cpn": ("cpn", flat.n)}[space]
+        if (flat.space, flat.n) != accepted:
+            raise DomainError(f"--flat {text} does not belong to {space}")
     elif space == "cpn":
-        if args.n is None:
-            parser.error("--space cpn needs --n (and --p/--q or --flat)")
-        flat = FlatMapId.cpn(args.n - 1, args.p, args.q)
+        if n is None:
+            raise DomainError("--space cpn needs --n (and --p/--q or --flat)")
+        flat = FlatMapId.cpn(n - 1, p, q)
     else:
-        parser.error("--flat is required for cp1/cp2")
+        raise DomainError("--flat is required for cp1/cp2")
     if flat.space == "cp1":
-        two_j = args.two_j if args.two_j is not None else 1
+        two_j = two_j if two_j is not None else 1
         return flat, two_j, two_j + 1
-    if space == "cpn" and args.n is not None and flat.n != args.n - 1:
-        parser.error(f"--n {args.n} (dimension) conflicts with --flat {args.flat}")
+    if space == "cpn" and n is not None and flat.n != n - 1:
+        raise DomainError(f"--n {n} (dimension) conflicts with --flat {text}")
     return flat, None, flat.n + 1
 
 
@@ -202,16 +190,19 @@ def _closed_form_label(flat: FlatMapId, two_j: int | None) -> str:
     )
 
 
-def _quadrature_spec(args, flat: FlatMapId, two_j: int | None):
-    if flat.space == "cp1":
+def _quadrature_spec(space, two_j, radial_nodes=None, angular_nodes=None, simplex_nodes=None):
+    """The default rule for `space` ("cp1", else CP^2), with each node count
+    that is given replacing its default."""
+    if space == "cp1":
         base = QuadratureSpecCP1.for_spin(two_j)
         return QuadratureSpecCP1(
-            radial_nodes=args.radial_nodes or base.radial_nodes,
-            angular_nodes=args.angular_nodes or base.angular_nodes,
+            radial_nodes=radial_nodes or base.radial_nodes,
+            angular_nodes=angular_nodes or base.angular_nodes,
         )
+    base = QuadratureSpecCP2()
     return QuadratureSpecCP2(
-        simplex_nodes=args.simplex_nodes or 4,
-        angular_nodes=args.angular_nodes or 7,
+        simplex_nodes=simplex_nodes or base.simplex_nodes,
+        angular_nodes=angular_nodes or base.angular_nodes,
     )
 
 
@@ -220,17 +211,17 @@ def _quadrature_spec(args, flat: FlatMapId, two_j: int | None):
 
 
 def _cmd_bell_make(args, parser) -> int:
-    flat, two_j, _ = _flat_from_args(args, parser)
+    flat, two_j, _ = _resolve_flat(args.space, args.flat, args.two_j, args.n, args.p, args.q)
     state = _closed_form_for(flat, two_j)
     config = {"space": args.space, "flat": str(flat)}
     if two_j is not None:
         config["two_j"] = two_j
     report = Report("bell make", config)
-    report.note(f"closed form: {_closed_form_label(flat, two_j)}")
+    report.notes.append(f"closed form: {_closed_form_label(flat, two_j)}")
     document = _state_document(state)
     if args.output:
         _write_json(document, args.output)
-        report.note(f"wrote: {args.output}")
+        report.notes.append(f"wrote: {args.output}")
         report.emit()
     else:
         report.emit()
@@ -238,262 +229,203 @@ def _cmd_bell_make(args, parser) -> int:
     return 0
 
 
+def _bell_integral(tol, notes, spec=None, output=None, **flags):
+    """The integral for one catalog map against its closed form, as `bell
+    integrate` checks it; the integrated state is written to `output` if given."""
+    flat, two_j, _ = _resolve_flat(**flags)
+    state, norm_residual = bell.fivel_bell(flat, spec, two_j=two_j)
+    distance = analysis.state_distance(state, _closed_form_for(flat, two_j))
+    notes.append(f"closed form: {_closed_form_label(flat, two_j)}")
+    if output:
+        _write_json(_state_document(state), output)
+        notes.append(f"wrote: {output}")
+    return [Check("state-distance", distance, tol), Check("norm-residual", norm_residual, tol)]
+
+
 def _cmd_bell_integrate(args, parser) -> int:
-    flat, two_j, dim = _flat_from_args(args, parser)
-    seed = _resolve_seed(args)
+    flags = {key: vars(args)[key] for key in _BELL_FLAGS}
+    flat, two_j, _ = _resolve_flat(**flags)
     use_mc = args.mc_samples is not None
     if flat.space == "cpn" and flat.n > 2 and not use_mc:
         parser.error(f"CP^{flat.n} has no deterministic rule; pass --mc-samples")
     if use_mc:
+        seed = _resolve_seed(args)
         spec = MCSpec(samples=args.mc_samples, seed=seed)
         config_spec = {"mc_samples": args.mc_samples, "seed": seed}
         tolerance = args.tolerance if args.tolerance is not None else MC_TOL
     else:
-        spec = _quadrature_spec(args, flat, two_j)
+        spec = _quadrature_spec(
+            flat.space, two_j, args.radial_nodes, args.angular_nodes, args.simplex_nodes
+        )
         config_spec = {k: getattr(spec, k) for k in spec.__dataclass_fields__}
         tolerance = args.tolerance if args.tolerance is not None else QUAD_TOL
-
-    state, norm_residual = bell.fivel_bell(flat, spec, two_j=two_j)
-    target = _closed_form_for(flat, two_j)
-    distance = analysis.state_distance(state, target)
 
     config = {"space": args.space, "flat": str(flat), **config_spec}
     if two_j is not None:
         config["two_j"] = two_j
     report = Report("bell integrate", config)
-    report.note(f"closed form: {_closed_form_label(flat, two_j)}")
-    report.add("state-distance", distance, tolerance)
-    report.add("norm-residual", norm_residual, tolerance)
-    if args.output:
-        _write_json(_state_document(state), args.output)
-        report.note(f"wrote: {args.output}")
+    report.checks.extend(_bell_integral(tolerance, report.notes, spec, args.output, **flags))
     report.emit()
     if args.csv:
         report.write_csv(args.csv)
     return report.exit_code()
 
 
-def _verify_unity(args, parser, report: Report) -> None:
-    tol = args.tolerance if args.tolerance is not None else QUAD_TOL
-    if args.space == "cp1":
-        two_j = args.two_j if args.two_j is not None else 1
-        spec = None
-        if args.radial_nodes or args.angular_nodes:
-            base = QuadratureSpecCP1.for_spin(two_j)
-            spec = QuadratureSpecCP1(
-                radial_nodes=args.radial_nodes or base.radial_nodes,
-                angular_nodes=args.angular_nodes or base.angular_nodes,
-            )
-        report.add(f"unity-cp1-two_j-{two_j}", analysis.resolution_of_unity_cp1(two_j, spec), tol)
-    elif args.space == "cp2":
-        spec = None
-        if args.simplex_nodes or args.angular_nodes:
-            spec = QuadratureSpecCP2(
-                simplex_nodes=args.simplex_nodes or 4,
-                angular_nodes=args.angular_nodes or 7,
-            )
-        report.add("unity-cp2", analysis.resolution_of_unity_cp2(spec), tol)
-    else:
-        parser.error("verify unity supports --space cp1 or cp2")
+# ---------------------------------------------------------------------------
+# verify checks, declared in _VERIFY
 
 
-def _verify_measure(args, parser, report: Report) -> None:
-    tol = args.tolerance if args.tolerance is not None else QUAD_TOL
-    if args.space == "cp1":
-        two_j = args.two_j if args.two_j is not None else 1
-        value = analysis.total_measure_cp1(two_j)
-        report.note(f"total measure: {_fmt(value)} (expected {two_j + 1})")
-        report.add(f"measure-cp1-two_j-{two_j}", abs(value - (two_j + 1)), tol)
-    elif args.space == "cp2":
-        value = analysis.total_measure_cp2()
-        report.note(f"total measure: {_fmt(value)} (expected 3)")
-        report.add("measure-cp2", abs(value - 3.0), tol)
-    else:
-        parser.error("verify measure supports --space cp1 or cp2")
+def _worst(residuals):
+    """The largest residual, or NaN if any is NaN: max() keeps a NaN only when it comes first."""
+    return max(residuals, key=lambda value: (math.isnan(value), value))
 
 
-def _sampled_pairs(manifold_n: int, count: int, seed: int):
-    rows = sample_fubini_study(manifold_n, MCSpec(samples=2 * count, seed=seed))
-    return list(zip(rows[:count], rows[count:]))
-
-
-def _verify_antimap(args, parser, report: Report) -> None:
-    flat = FlatMapId.parse(args.flat) if args.flat else parser.error("--flat is required")
-    tol = args.tolerance if args.tolerance is not None else ANTIMAP_TOL
-    seed = _resolve_seed(args)
-    two_j = args.two_j if args.two_j is not None else 1
+def _sample_rows(flat: str | None, count: int, seed: int) -> tuple[FlatMapId, np.ndarray]:
+    if flat is None:
+        raise DomainError("--flat is required")
+    flat = FlatMapId.parse(flat)
     manifold_n = 1 if flat.space == "cp1" else flat.n
-    pairs = _sampled_pairs(manifold_n, args.pairs, seed)
-    value = verify_antimap(flat, pairs, two_j=two_j)
-    report.add(f"antimap-{flat}", value, tol)
+    return flat, sample_fubini_study(manifold_n, MCSpec(samples=count, seed=seed))
 
 
-def _consistency_residual(flat: FlatMapId, points: int, seed: int, two_j: int) -> float:
-    manifold_n = 1 if flat.space == "cp1" else flat.n
-    rows = sample_fubini_study(manifold_n, MCSpec(samples=points, seed=seed))
+def _unity(tol, notes, space="cp1", two_j=1, **nodes):
+    spec = _quadrature_spec(space, two_j, **nodes)
+    if space == "cp1":
+        value = analysis.resolution_of_unity_cp1(two_j, spec)
+        return [Check(f"unity-cp1-two_j-{two_j}", value, tol)]
+    if space == "cp2":
+        return [Check("unity-cp2", analysis.resolution_of_unity_cp2(spec), tol)]
+    raise DomainError("verify unity supports --space cp1 or cp2")
+
+
+def _measure(tol, notes, space="cp1", two_j=1):
+    if space == "cp1":
+        value, expected = analysis.total_measure_cp1(two_j), two_j + 1
+        name = f"measure-cp1-two_j-{two_j}"
+    elif space == "cp2":
+        value, expected, name = analysis.total_measure_cp2(), 3, "measure-cp2"
+    else:
+        raise DomainError("verify measure supports --space cp1 or cp2")
+    notes.append(f"total measure: {_fmt(value)} (expected {expected})")
+    return [Check(name, abs(value - expected), tol)]
+
+
+def _antimap(tol, notes, seed, flat=None, two_j=1, pairs=1000):
+    flat, rows = _sample_rows(flat, 2 * pairs, seed)
+    value = verify_antimap(flat, list(zip(rows[:pairs], rows[pairs:])), two_j=two_j)
+    return [Check(f"antimap-{flat}", value, tol)]
+
+
+def _consistency(tol, notes, seed, flat=None, two_j=1, points=1000):
+    flat, rows = _sample_rows(flat, points, seed)
     if flat.space == "cp1":
         states = spin_states_from_homogeneous(two_j, rows)
     else:
         states = level_one_states_from_homogeneous(rows)
-    worst = 0.0
-    for v in states:
-        lhs = projector_of(flat_state(flat, v))
-        rhs = flat_projector(flat, projector_of(v))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    return [Check(f"state-vs-projector-{flat}", projector_consistency(flat, states), tol)]
 
 
-def _verify_consistency(args, parser, report: Report) -> None:
-    flat = FlatMapId.parse(args.flat) if args.flat else parser.error("--flat is required")
-    tol = args.tolerance if args.tolerance is not None else CONSISTENCY_TOL
-    seed = _resolve_seed(args)
-    two_j = args.two_j if args.two_j is not None else 1
-    value = _consistency_residual(flat, args.points, seed, two_j)
-    report.add(f"state-vs-projector-{flat}", value, tol)
+def _moments(tol, notes, two_j=1):
+    if two_j < 0:
+        raise DomainError("two_j must be nonnegative")
+    residuals = (abs(moment_cp1(two_j, k) - 1.0 / math.comb(two_j, k)) for k in range(two_j + 1))
+    return [Check(f"moments-two_j-{two_j}", _worst(residuals), tol)]
 
 
-def _verify_moments(args, parser, report: Report) -> None:
-    from .quadrature import moment_cp1
-
-    tol = args.tolerance if args.tolerance is not None else QUAD_TOL
-    two_j = args.two_j if args.two_j is not None else 1
-    worst = 0.0
-    for k in range(two_j + 1):
-        worst = max(worst, abs(moment_cp1(two_j, k) - 1.0 / math.comb(two_j, k)))
-    report.add(f"moments-two_j-{two_j}", worst, tol)
-
-
-def _verify_fourier(args, parser, report: Report) -> None:
-    tol = args.tolerance if args.tolerance is not None else FOURIER_TOL
-    n = args.n if args.n is not None else 3
-    report.add(f"shift-diagonalization-{n}", fourier.verify_shift_diagonalization(n), tol)
+def _fourier(tol, notes, n=3):
+    shift = Check(f"shift-diagonalization-{n}", fourier.verify_shift_diagonalization(n), tol)
     w = fourier.walsh_hadamard(n)
-    report.add(f"fourier-unitarity-{n}", float(np.linalg.norm(w @ w.conj().T - np.eye(n))), 1e-12)
+    unitarity = float(np.linalg.norm(w @ w.conj().T - np.eye(n)))
+    return [shift, Check(f"fourier-unitarity-{n}", unitarity, 1e-12)]
 
 
-def _rank_family(name: str, two_j: int | None, n: int | None):
-    """Returns (states, expected rank); expected counts follow from orthogonality."""
-    if name == "spin1":
-        return [bell.closed_form_bell_cp1(2, t) for t in (1, 2, 3, 4)], 3
-    if name == "cp1":
-        tj = two_j if two_j is not None else 1
-        return [bell.closed_form_bell_cp1(tj, t) for t in (1, 2, 3, 4)], 3 if tj == 2 else 4
-    if name == "cp2":
-        return [bell.closed_form_bell_cp2(p, q) for p in range(3) for q in range(3)], 9
-    if name == "gen":
-        d = n if n is not None else 2
-        return [bell.generalized_bell(d, p, q) for p in range(d) for q in range(d)], d * d
-    raise BellforgeError(f"unknown family {name!r}")
+def _rank(tol, notes, family="spin1", two_j=1, n=2):
+    """Expected ranks follow from orthogonality. The four cp1 tags give one
+    state at 2j = 0; at 2j = 2 they span 3, since tag 1 minus tag 2 and tag 3
+    minus tag 4 are both 2|1>|1>/sqrt(3)."""
+    if family in ("spin1", "cp1"):
+        spin = 2 if family == "spin1" else two_j
+        states = [bell.closed_form_bell_cp1(spin, t) for t in (1, 2, 3, 4)]
+        expected = {0: 1, 2: 3}.get(spin, 4)
+    elif family == "cp2":
+        states = [bell.closed_form_bell_cp2(p, q) for p in range(3) for q in range(3)]
+        expected = 9
+    else:
+        states = [bell.generalized_bell(n, p, q) for p in range(n) for q in range(n)]
+        expected = n * n
+    notes.append(f"family: {family} ({len(states)} states)")
+    return [Check(f"rank-{family}", analysis.rank_of_family(states), expected, mode="eq")]
 
 
-def _verify_rank(args, parser, report: Report) -> None:
-    states, expected = _rank_family(args.family, args.two_j, args.n)
-    rank = analysis.rank_of_family(states)
-    report.note(f"family: {args.family} ({len(states)} states)")
-    report.add(f"rank-{args.family}", rank, expected, mode="eq")
-
-
-def _verify_schmidt(args, parser, report: Report) -> None:
-    flat, two_j, dim = _flat_from_args(args, parser)
-    tol = args.tolerance if args.tolerance is not None else SCHMIDT_TOL
+def _schmidt(tol, notes, **flags):
+    flat, two_j, dim = _resolve_flat(**flags)
     state = _closed_form_for(flat, two_j)
     data = analysis.schmidt(state)
     uniform = 1.0 / math.sqrt(dim)
-    report.note(f"closed form: {_closed_form_label(flat, two_j)}")
-    report.add(f"schmidt-flatness-{flat}", float(np.max(np.abs(data.singular_values - uniform))), tol)
-    report.add(f"entropy-{flat}", abs(data.entropy - math.log(dim)), ENTROPY_TOL)
-    report.add(f"norm-{flat}", abs(state.norm() - 1.0), tol)
+    notes.append(f"closed form: {_closed_form_label(flat, two_j)}")
+    return [
+        Check(f"schmidt-flatness-{flat}", float(np.max(np.abs(data.singular_values - uniform))), tol),
+        Check(f"entropy-{flat}", abs(data.entropy - math.log(dim)), ENTROPY_TOL),
+        Check(f"norm-{flat}", abs(state.norm() - 1.0), tol),
+    ]
 
 
-def _verify_all(args, parser, report: Report) -> None:
-    seed = _resolve_seed(args)
-    for two_j in (1, 2, 5):
-        report.add(f"unity-cp1-two_j-{two_j}", analysis.resolution_of_unity_cp1(two_j), QUAD_TOL)
-    report.add("unity-cp2", analysis.resolution_of_unity_cp2(), QUAD_TOL)
-    report.add("measure-cp1-two_j-3", abs(analysis.total_measure_cp1(3) - 4.0), QUAD_TOL)
-    report.add("measure-cp2", abs(analysis.total_measure_cp2() - 3.0), QUAD_TOL)
-
-    from .quadrature import moment_cp1
-
-    worst = max(
-        abs(moment_cp1(two_j, k) - 1.0 / math.comb(two_j, k))
-        for two_j in range(0, 7)
-        for k in range(two_j + 1)
-    )
-    report.add("moments-two_j-0..6", worst, QUAD_TOL)
-
-    catalog = [(f, 1) for f in cp1_catalog()] + [(f, 2) for f in cp1_catalog()]
-    catalog += [(f, None) for f in cpn_catalog(2)]
-    antimap_worst = 0.0
-    consistency_worst = 0.0
-    for flat, two_j in catalog:
-        manifold_n = 1 if flat.space == "cp1" else flat.n
-        pairs = _sampled_pairs(manifold_n, 200, seed)
-        antimap_worst = max(antimap_worst, verify_antimap(flat, pairs, two_j=two_j or 1))
-        consistency_worst = max(
-            consistency_worst, _consistency_residual(flat, 200, seed, two_j or 1)
-        )
-    report.add("antimap-catalog", antimap_worst, ANTIMAP_TOL)
-    report.add("state-vs-projector-catalog", consistency_worst, CONSISTENCY_TOL)
-
-    for n in (2, 3, 8):
-        report.add(f"shift-diagonalization-{n}", fourier.verify_shift_diagonalization(n), FOURIER_TOL)
-
-    states, expected = _rank_family("spin1", None, None)
-    report.add("rank-spin1", analysis.rank_of_family(states), expected, mode="eq")
-
-    bell_worst = 0.0
-    schmidt_worst = 0.0
-    targets = [(FlatMapId.cp1(t), tj) for t in (1, 2, 3, 4) for tj in (1, 2, 4)]
-    targets += [(f, None) for f in cpn_catalog(2)]
-    for flat, two_j in targets:
-        state, _ = bell.fivel_bell(flat, two_j=two_j)
-        closed = _closed_form_for(flat, two_j)
-        bell_worst = max(bell_worst, analysis.state_distance(state, closed))
-        data = analysis.schmidt(closed)
-        dim = closed.dim_a
-        schmidt_worst = max(
-            schmidt_worst, float(np.max(np.abs(data.singular_values - 1.0 / math.sqrt(dim))))
-        )
-    report.add("bell-integral-vs-closed-form", bell_worst, QUAD_TOL)
-    report.add("schmidt-flatness-catalog", schmidt_worst, SCHMIDT_TOL)
+def _all(tol, notes, seed):
+    """Rows of (label, entry, cases), each case a set of flag values; a row
+    reports the worst value of its entry's first check over its cases."""
+    v = _VERIFY
+    catalog = [dict(flat=str(f), two_j=j, seed=seed) for j in (1, 2) for f in cp1_catalog()]
+    catalog += [dict(flat=str(f), seed=seed) for f in cpn_catalog(2)]
+    targets = [dict(space="cp1", flat=f"cp1:{t}", two_j=j) for t in (1, 2, 3, 4) for j in (1, 2, 4)]
+    targets += [dict(space="cp2", flat=str(f)) for f in cpn_catalog(2)]
+    rows = [
+        *[(f"unity-cp1-two_j-{j}", v["unity"], [dict(two_j=j)]) for j in (1, 2, 5)],
+        ("unity-cp2", v["unity"], [dict(space="cp2")]),
+        ("measure-cp1-two_j-3", v["measure"], [dict(two_j=3)]),
+        ("measure-cp2", v["measure"], [dict(space="cp2")]),
+        ("moments-two_j-0..6", v["moments"], [dict(two_j=j) for j in range(7)]),
+        ("antimap-catalog", v["antimap"], [dict(c, pairs=200) for c in catalog]),
+        ("state-vs-projector-catalog", v["consistency"], [dict(c, points=200) for c in catalog]),
+        *[(f"shift-diagonalization-{n}", v["fourier"], [dict(n=n)]) for n in (2, 3, 8)],
+        ("rank-spin1", v["rank"], [{}]),
+        ("bell-integral-vs-closed-form", ((), False, _bell_integral, QUAD_TOL), targets),
+        ("schmidt-flatness-catalog", v["schmidt"], targets),
+    ]
+    checks = []
+    for label, (_, _, run, default_tol), cases in rows:
+        firsts = [run(default_tol, [], **case)[0] for case in cases]
+        worst = _worst(c.value for c in firsts)
+        checks.append(Check(label, worst, firsts[0].tolerance, firsts[0].mode))
+    return checks
 
 
-_VERIFY_CONFIG_KEYS = {
-    "unity": ("space", "two_j", "radial_nodes", "angular_nodes", "simplex_nodes", "tolerance"),
-    "measure": ("space", "two_j", "tolerance"),
-    "antimap": ("flat", "two_j", "pairs", "tolerance"),
-    "consistency": ("flat", "two_j", "points", "tolerance"),
-    "moments": ("two_j", "tolerance"),
-    "fourier": ("n", "tolerance"),
-    "rank": ("family", "two_j", "n"),
-    "schmidt": ("space", "flat", "two_j", "n", "p", "q", "tolerance"),
-    "all": (),
+# One entry per `verify` subcommand: (flags, seeded, run, default tol). The
+# flags are also the config keys, and a seeded entry adds the resolved seed to
+# both. run(tol, notes, **flag values) returns the checks; tol is --tolerance,
+# else the default, and bounds each check that has no fixed bound of its own.
+_NODES = ("radial_nodes", "angular_nodes", "simplex_nodes")
+_VERIFY = {
+    "unity": (("space", "two_j", *_NODES, "tolerance"), False, _unity, QUAD_TOL),
+    "measure": (("space", "two_j", "tolerance"), False, _measure, QUAD_TOL),
+    "antimap": (("flat", "two_j", "pairs", "tolerance"), True, _antimap, ANTIMAP_TOL),
+    "consistency": (("flat", "two_j", "points", "tolerance"), True, _consistency, CONSISTENCY_TOL),
+    "moments": (("two_j", "tolerance"), False, _moments, QUAD_TOL),
+    "fourier": (("n", "tolerance"), False, _fourier, FOURIER_TOL),
+    "rank": (("family", "two_j", "n"), False, _rank, None),
+    "schmidt": (("space", "flat", "two_j", "n", "p", "q", "tolerance"), False, _schmidt, SCHMIDT_TOL),
+    "all": ((), True, _all, None),
 }
-_SEEDED_VERIFY = ("antimap", "consistency", "all")
 
 
 def _cmd_verify(args, parser) -> int:
-    handler = {
-        "unity": _verify_unity,
-        "measure": _verify_measure,
-        "antimap": _verify_antimap,
-        "consistency": _verify_consistency,
-        "moments": _verify_moments,
-        "fourier": _verify_fourier,
-        "rank": _verify_rank,
-        "schmidt": _verify_schmidt,
-        "all": _verify_all,
-    }[args.what]
-    config = {
-        key: vars(args)[key]
-        for key in _VERIFY_CONFIG_KEYS[args.what]
-        if vars(args).get(key) is not None
-    }
-    if args.what in _SEEDED_VERIFY:
+    names, seeded, run, default_tol = _VERIFY[args.what]
+    config = {key: vars(args)[key] for key in names if vars(args)[key] is not None}
+    if seeded:
         config["seed"] = _resolve_seed(args)
     report = Report(f"verify {args.what}", config)
-    handler(args, parser, report)
+    flags = dict(config)
+    tol = flags.pop("tolerance", default_tol)
+    report.checks.extend(run(tol, report.notes, **flags))
     report.emit()
     if args.csv:
         report.write_csv(args.csv)
@@ -510,22 +442,33 @@ def _cmd_export(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# every flag of `bell` and `verify`; each subcommand takes the ones it names
+_FLAGS = {
+    "space": dict(choices=("cp1", "cp2", "cpn"), default="cp1"),
+    "two_j": dict(type=int),
+    "flat": dict(help="catalog id, e.g. cp1:3, cp2:b2, cpn:3:1:2"),
+    "n": dict(type=int, help="dimension of each tensor factor"),
+    "p": dict(type=int, default=0),
+    "q": dict(type=int, default=0),
+    "pairs": dict(type=int, default=1000),
+    "points": dict(type=int, default=1000),
+    "family": dict(choices=("spin1", "cp1", "cp2", "gen"), default="spin1"),
+    "radial_nodes": dict(type=int),
+    "angular_nodes": dict(type=int),
+    "simplex_nodes": dict(type=int),
+    "mc_samples": dict(type=int),
+    "tolerance": dict(type=float),
+    "seed": dict(type=int, help="falls back to BELLFORGE_SEED, then 0"),
+    "output": dict(),
+    "csv": dict(),
+}
+_BELL_FLAGS = ("space", "two_j", "flat", "n", "p", "q")
 
-def _add_common_flat_flags(sub) -> None:
-    sub.add_argument("--space", choices=("cp1", "cp2", "cpn"), required=True)
-    sub.add_argument("--two-j", dest="two_j", type=int, default=None)
-    sub.add_argument("--flat", default=None, help="catalog id, e.g. cp1:3, cp2:b2, cpn:3:1:2")
-    sub.add_argument("--n", type=int, default=None, help="factor dimension for --space cpn")
-    sub.add_argument("--p", type=int, default=0)
-    sub.add_argument("--q", type=int, default=0)
 
-
-def _add_quadrature_flags(sub) -> None:
-    sub.add_argument("--radial-nodes", dest="radial_nodes", type=int, default=None)
-    sub.add_argument("--angular-nodes", dest="angular_nodes", type=int, default=None)
-    sub.add_argument("--simplex-nodes", dest="simplex_nodes", type=int, default=None)
-    sub.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None, help="falls back to BELLFORGE_SEED, then 0")
+def _add_flags(sub, names, **overrides) -> None:
+    for name in names:
+        options = {**_FLAGS[name], **overrides.get(name, {})}
+        sub.add_argument("--" + name.replace("_", "-"), dest=name, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,35 +483,19 @@ def build_parser() -> argparse.ArgumentParser:
     bell_sub = bell_cmd.add_subparsers(dest="what", required=True)
 
     make = bell_sub.add_parser("make", help="write a closed-form state")
-    _add_common_flat_flags(make)
-    make.add_argument("--output", default=None)
+    _add_flags(make, (*_BELL_FLAGS, "output"), space={"required": True})
     make.set_defaults(func=_cmd_bell_make)
 
     integrate = bell_sub.add_parser("integrate", help="evaluate the integral numerically")
-    _add_common_flat_flags(integrate)
-    _add_quadrature_flags(integrate)
-    integrate.add_argument("--tolerance", type=float, default=None)
-    integrate.add_argument("--output", default=None)
-    integrate.add_argument("--csv", default=None)
+    integrate_flags = (*_BELL_FLAGS, *_NODES, "mc_samples", "seed", "tolerance", "output", "csv")
+    _add_flags(integrate, integrate_flags, space={"required": True})
     integrate.set_defaults(func=_cmd_bell_integrate)
 
     verify = commands.add_parser("verify", help="run verification checks")
+    verify.set_defaults(func=_cmd_verify)
     verify_sub = verify.add_subparsers(dest="what", required=True)
-    for name in ("unity", "measure", "antimap", "consistency", "moments", "fourier", "rank", "schmidt", "all"):
-        sub = verify_sub.add_parser(name)
-        sub.add_argument("--space", choices=("cp1", "cp2", "cpn"), default="cp1")
-        sub.add_argument("--two-j", dest="two_j", type=int, default=None)
-        sub.add_argument("--flat", default=None)
-        sub.add_argument("--n", type=int, default=None)
-        sub.add_argument("--p", type=int, default=0)
-        sub.add_argument("--q", type=int, default=0)
-        sub.add_argument("--pairs", type=int, default=1000)
-        sub.add_argument("--points", type=int, default=1000)
-        sub.add_argument("--family", choices=("spin1", "cp1", "cp2", "gen"), default="spin1")
-        _add_quadrature_flags(sub)
-        sub.add_argument("--tolerance", type=float, default=None)
-        sub.add_argument("--csv", default=None)
-        sub.set_defaults(func=_cmd_verify)
+    for name, (flags, *_) in _VERIFY.items():
+        _add_flags(verify_sub.add_parser(name), (*flags, "seed", "csv"))
 
     export = commands.add_parser("export", help="dump a named matrix as JSON")
     export.add_argument("--what", choices=("walsh", "clock", "shift"), required=True)

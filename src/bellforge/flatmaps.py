@@ -27,7 +27,7 @@ import numpy as np
 from . import fourier
 from .coherent import level_one_states_from_homogeneous, spin_states_from_homogeneous
 from .errors import DimensionMismatchError, UnknownFlatMapError
-from .projective import HomogeneousPoint
+from .projective import HomogeneousPoint, projector_of
 
 _CP2_LETTERS = "abc"
 
@@ -151,6 +151,22 @@ def flat_projector(flat: FlatMapId, projector: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(f"expected a square matrix, got shape {p.shape}")
     u = global_unitary(flat, p.shape[0])
     return u @ p.conj() @ u.conj().T
+
+
+def projector_consistency(flat: FlatMapId, states) -> float:
+    """max over states v of ||P(U conj v) - U conj(P(v)) U^dagger||_F: the twist
+    of a state and the twist of its projector must agree.
+
+    One point at a time, so memory stays flat in the number of states; the
+    running maximum is taken with np.maximum, which keeps a NaN where max()
+    would drop one that is not first.
+    """
+    worst = 0.0
+    for v in states:
+        lhs = projector_of(flat_state(flat, v))
+        rhs = flat_projector(flat, projector_of(v))
+        worst = np.maximum(worst, np.linalg.norm(lhs - rhs))
+    return float(worst)
 
 
 def verify_antimap(flat: FlatMapId, pairs, two_j: int = 1) -> float:

@@ -63,6 +63,8 @@ class MCSpec:
     def __post_init__(self):
         if self.samples < 1:
             raise DomainError("samples must be positive")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
 
 def gauss_legendre_01(m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,11 +18,9 @@ from bellforge import (
     closed_form_bell_cp1,
     closed_form_bell_cp2,
     fivel_bell,
-    flat_projector,
-    flat_state,
     generalized_bell,
     moment_cp1,
-    projector_of,
+    projector_consistency,
     rank_of_family,
     resolution_of_unity_cp1,
     resolution_of_unity_cp2,
@@ -158,16 +156,13 @@ def test_criterion_06_overlap_reversal_identity():
 
 
 def test_criterion_07_state_projector_consistency():
-    worst = 0.0
+    residuals = []
     for flat, two_j in CATALOG:
         n = 1 if flat.space == "cp1" else flat.n
         rows = sample_fubini_study(n, MCSpec(samples=1000, seed=PAIR_SEED))
-        states = _states_for(flat, two_j, rows)
-        for v in states:
-            lhs = projector_of(flat_state(flat, v))
-            rhs = flat_projector(flat, projector_of(v))
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    _report(7, "state and projector twists agree on 1000 points per id", worst <= 1e-12, f"worst={worst:.3e}")
+        residuals.append(projector_consistency(flat, _states_for(flat, two_j, rows)))
+    ok = all(r <= 1e-12 for r in residuals)
+    _report(7, "state and projector twists agree on 1000 points per id", ok, f"worst={max(residuals):.3e}")
 
 
 def test_criterion_08_spin_one_rank_deficiency():

@@ -85,6 +85,11 @@ def test_closed_form_cp1_rejects_bad_tag():
         closed_form_bell_cp1(2, 5)
 
 
+def test_closed_form_cp1_rejects_negative_spin():
+    with pytest.raises(DomainError):
+        closed_form_bell_cp1(-1, 1)
+
+
 def test_closed_form_cp2_all_nine():
     for (p, q), _ in CP2_STATES.items():
         got = closed_form_bell_cp2(p, q)

@@ -1,15 +1,20 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bellforge import closed_form_bell_cp1, closed_form_bell_cp2, generalized_bell
+from bellforge import cli, closed_form_bell_cp1, closed_form_bell_cp2, generalized_bell
 
 S2 = 1.0 / math.sqrt(2.0)
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
+CHECK_LINE = re.compile(r"check (\S+): value=(\S+) (<=|==) (\S+) (PASS|FAIL)")
 
 
 def run_cli(*argv, env_extra=None):
@@ -212,3 +217,118 @@ def test_wall_time_on_stderr_only():
     result = run_cli("verify", "moments", "--two-j", "2")
     assert "wall-time" in result.stderr
     assert "wall-time" not in result.stdout
+
+
+# --- in-process runs of cli.main ---------------------------------------------
+
+
+@pytest.fixture
+def bellforge(capsys, monkeypatch):
+    """Runs cli.main in this process and returns (exit code, stdout, stderr)."""
+    monkeypatch.delenv("BELLFORGE_SEED", raising=False)
+
+    def run(*argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    return run
+
+
+def golden_commands():
+    """(argv, expected stdout lines + exit line) for each `$ ` block of the golden file."""
+    commands = []
+    for line in GOLDEN.read_text().splitlines():
+        if line.startswith("$ "):
+            commands.append((shlex.split(line[2:]), []))
+        elif not line.startswith("#"):
+            commands[-1][1].append(line)
+    return commands
+
+
+GOLDEN_COMMANDS = golden_commands()
+
+
+@pytest.mark.parametrize(
+    "argv, expected", GOLDEN_COMMANDS, ids=[" ".join(argv) for argv, _ in GOLDEN_COMMANDS]
+)
+def test_output_matches_golden(argv, expected, bellforge, tmp_path):
+    """Lines other than checks are byte-identical; a check keeps its name,
+    relation, bound and status, and its value within 1e-14."""
+    code, out, _ = bellforge(*(arg.replace("OUT/", f"{tmp_path}/") for arg in argv))
+    lines = out.replace(str(tmp_path), "OUT").splitlines() + [f"exit: {code}"]
+    assert len(lines) == len(expected)
+    for line, want in zip(lines, expected):
+        got, wanted = CHECK_LINE.fullmatch(line), CHECK_LINE.fullmatch(want)
+        if wanted is None:
+            assert line == want
+        else:
+            assert got is not None, line
+            assert got.group(1, 3, 4, 5) == wanted.group(1, 3, 4, 5)
+            assert abs(float(got[2]) - float(wanted[2])) <= 1e-14, line
+
+
+def test_golden_covers_readme_examples():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    examples = [shlex.split(line)[1:] for line in readme.splitlines() if line.startswith("bellforge ")]
+    recorded = [[arg.removeprefix("OUT/") for arg in argv] for argv, _ in GOLDEN_COMMANDS]
+    assert examples and [e for e in examples if e not in recorded] == []
+
+
+@pytest.mark.parametrize(
+    "what, needed, foreign",
+    [
+        ("unity", [], ["--family", "cp1"]),
+        ("measure", [], ["--pairs", "10"]),
+        ("antimap", ["--flat", "cp1:2", "--pairs", "10"], ["--points", "10"]),
+        ("consistency", ["--flat", "cp1:2", "--points", "10"], ["--pairs", "10"]),
+        ("moments", [], ["--mc-samples", "5"]),
+        ("fourier", [], ["--two-j", "1"]),
+        ("rank", [], ["--tolerance", "1e-3"]),
+        ("schmidt", ["--space", "cp2", "--flat", "cp2:b2"], ["--points", "10"]),
+        ("all", [], ["--two-j", "1"]),
+    ],
+)
+def test_verify_subcommands_take_only_their_own_flags(what, needed, foreign, bellforge, tmp_path):
+    code, _, err = bellforge("verify", what, *needed, *foreign)
+    assert code == 2 and "unrecognized arguments" in err
+    csv_path = tmp_path / "checks.csv"
+    code, out, _ = bellforge("verify", what, *needed, "--seed", "3", "--csv", str(csv_path))
+    assert code == 0 and "result: PASS" in out
+    assert csv_path.read_text().startswith("check,value,tolerance,status")
+
+
+@pytest.mark.parametrize("values", [[0.0, math.nan], [math.nan, 0.0]])
+def test_worst_keeps_nan_and_the_check_fails(values, capsys):
+    worst = cli._worst(values)
+    assert math.isnan(worst)
+    report = cli.Report("verify moments", {})
+    report.checks.append(cli.Check("moments-two_j-160", worst, 1e-10))
+    report.emit()
+    assert "check moments-two_j-160: value=nan <= 1e-10 FAIL" in capsys.readouterr().out
+    assert report.exit_code() == 1
+
+
+@pytest.mark.parametrize("seed_flag, seed_env", [(["--seed", "-1"], None), ([], "abc")])
+def test_bad_seeds_are_usage_errors(seed_flag, seed_env, bellforge, monkeypatch):
+    if seed_env is not None:
+        monkeypatch.setenv("BELLFORGE_SEED", seed_env)
+    code, out, err = bellforge("verify", "antimap", "--flat", "cp1:2", "--pairs", "10", *seed_flag)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_negative_spin_is_a_usage_error(bellforge):
+    code, out, err = bellforge("bell", "make", "--space", "cp1", "--two-j", "-1", "--flat", "cp1:1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("two_j, rank", [(0, 1), (1, 4), (2, 3), (3, 4), (4, 4), (5, 4)])
+def test_cp1_family_rank(two_j, rank, bellforge):
+    code, out, _ = bellforge("verify", "rank", "--family", "cp1", "--two-j", str(two_j))
+    assert code == 0
+    assert f"check rank-cp1: value={rank} == {rank} PASS" in out

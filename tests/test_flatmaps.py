@@ -13,6 +13,7 @@ from bellforge import (
     flat_projector,
     flat_state,
     global_unitary,
+    projector_consistency,
     projector_distance,
     projector_of,
     to_chart,
@@ -243,6 +244,20 @@ def test_state_and_projector_actions_agree():
             lhs = projector_of(flat_state(flat, v))
             rhs = flat_projector(flat, projector_of(v))
             assert projector_distance(lhs, rhs) < 1e-12
+
+
+def test_projector_consistency_is_the_worst_point_and_keeps_nan():
+    flat = FlatMapId.parse("cp2:b3")
+    rows = sample_fubini_study(2, MCSpec(samples=20, seed=3))
+    states = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    per_point = [
+        np.linalg.norm(projector_of(flat_state(flat, v)) - flat_projector(flat, projector_of(v)))
+        for v in states
+    ]
+    assert projector_consistency(flat, states) == max(per_point)
+    nan_state = np.full(3, np.nan, dtype=complex)
+    assert math.isnan(projector_consistency(flat, [nan_state, *states]))
+    assert math.isnan(projector_consistency(flat, [*states, nan_state]))
 
 
 # --- the overlap-reversal identity ------------------------------------------

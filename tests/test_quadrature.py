@@ -168,3 +168,5 @@ def test_spec_validation():
         QuadratureSpecCP2(simplex_nodes=2, angular_nodes=0)
     with pytest.raises(DomainError):
         MCSpec(samples=0)
+    with pytest.raises(DomainError):
+        MCSpec(samples=1, seed=-1)
