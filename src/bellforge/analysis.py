@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import coherent_cp1
-from .bell import BipartiteState
+from .bell import BipartiteState, _mc_states
 from .errors import DimensionMismatchError, EmptyFamilyError
 from .quadrature import (
     MCSpec,
@@ -16,7 +16,6 @@ from .quadrature import (
     QuadratureSpecCP2,
     integrate_cp1,
     integrate_cp2,
-    sample_fubini_study,
 )
 
 
@@ -82,8 +81,7 @@ def resolution_of_unity_cp2(spec: QuadratureSpecCP2 | None = None) -> float:
 
 def resolution_of_unity_mc(n: int, spec: MCSpec) -> float:
     """Monte Carlo frame-operator deviation on CP^n (level-one states)."""
-    rows = sample_fubini_study(n, spec)
-    states = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    states = _mc_states("cpn", n + 1, spec)
     frame = (n + 1) / spec.samples * states.T @ states.conj()
     return float(np.linalg.norm(frame - np.eye(n + 1)))
 

@@ -109,13 +109,38 @@ def _dims_for(flat: FlatMapId, two_j: int | None) -> tuple[int, int]:
     return flat.n + 1, flat.n
 
 
-def _fivel_mc(flat: FlatMapId, spec: MCSpec, two_j: int | None) -> BipartiteState:
-    dim, n = _dims_for(flat, two_j)
-    rows = sample_fubini_study(n, spec)
-    if flat.space == "cp1":
-        states = spin_states_from_homogeneous(two_j, rows)
+# ((space, dim, spec), read-only states) of the most recent Monte Carlo draw
+_last_draw = None
+
+
+def _mc_states(space: str, dim: int, spec: MCSpec) -> np.ndarray:
+    """Coherent states at the sample rows of spec, one row per sample: spin
+    (dim-1)/2 states on CP^1 for space "cp1", level-one states on CP^(dim-1)
+    for "cpn".
+
+    The states of the most recent draw stay in one module-level entry, so
+    every map of a catalog run over one spec pays for one draw and one
+    normalization. The entry is read-only and is released before the next
+    different draw, so one caller never holds two draws at once.
+    """
+    global _last_draw
+    key = (space, dim, spec)
+    entry = _last_draw  # read once: another thread may replace the entry meanwhile
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    _last_draw = entry = None
+    if space == "cp1":
+        states = spin_states_from_homogeneous(dim - 1, sample_fubini_study(1, spec))
     else:
-        states = level_one_states_from_homogeneous(rows)
+        states = level_one_states_from_homogeneous(sample_fubini_study(dim - 1, spec))
+    states.flags.writeable = False
+    _last_draw = (key, states)
+    return states
+
+
+def _fivel_mc(flat: FlatMapId, spec: MCSpec, two_j: int | None) -> BipartiteState:
+    dim, _ = _dims_for(flat, two_j)
+    states = _mc_states(flat.space, dim, spec)
     u = global_unitary(flat, dim)
     twisted = states.conj() @ u.T
     # mean of |Z>(x)|Z^b> over samples, scaled by the total measure dim V
@@ -133,7 +158,8 @@ def fivel_bell(
 
     Deterministic quadrature covers the sphere (cp1 at any spin, cpn with
     n = 1) and cpn with n = 2; pass an MCSpec for higher n or for
-    cross-checks. Returns the state and the norm residual abs(norm - 1).
+    cross-checks; consecutive Monte Carlo calls with one spec share one draw.
+    Returns the state and the norm residual abs(norm - 1).
     """
     if isinstance(spec, MCSpec):
         state = _fivel_mc(flat, spec, two_j)

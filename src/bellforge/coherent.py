@@ -25,10 +25,16 @@ from .projective import ChartPoint, chart_vector
 
 
 def binomial_row(n: int) -> np.ndarray:
-    """C(n, 0..n) as floats (exact integers, rounded once on conversion)."""
+    """C(n, 0..n) as floats (exact integers, rounded once on conversion).
+
+    The middle binomials leave float range from n = 1030 on.
+    """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    return np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    try:
+        return np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    except OverflowError:
+        raise DomainError(f"C({n}, k) exceeds float range; n must be at most 1029") from None
 
 
 def su2_generators(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

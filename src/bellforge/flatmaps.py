@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fourier
 from .coherent import level_one_states_from_homogeneous, spin_states_from_homogeneous
-from .errors import DimensionMismatchError, UnknownFlatMapError
+from .errors import DimensionMismatchError, EmptyFamilyError, UnknownFlatMapError
 from .projective import HomogeneousPoint, projector_of
 
 _CP2_LETTERS = "abc"
@@ -175,6 +175,9 @@ def verify_antimap(flat: FlatMapId, pairs, two_j: int = 1) -> float:
     Pairs are (point, point) tuples of homogeneous coordinates (arrays or
     HomogeneousPoint). For cp1 the overlap is taken in the spin-j space.
     """
+    pairs = list(pairs)
+    if not pairs:
+        raise EmptyFamilyError("need at least one pair")
     lhs_rows = np.stack([np.asarray(getattr(a, "coords", a), dtype=complex) for a, _ in pairs])
     rhs_rows = np.stack([np.asarray(getattr(b, "coords", b), dtype=complex) for _, b in pairs])
     if flat.space == "cp1":

@@ -42,6 +42,8 @@ class QuadratureSpecCP1:
     @classmethod
     def for_spin(cls, two_j: int) -> "QuadratureSpecCP1":
         """Smallest safe rule for degree-2j integrands: 2j+2 radial, 4j+3 angular."""
+        if two_j < 0:
+            raise DomainError("two_j must be nonnegative")
         return cls(radial_nodes=two_j + 2, angular_nodes=2 * two_j + 3)
 
 
@@ -90,6 +92,8 @@ def integrate_cp1(f, two_j: int, spec: QuadratureSpecCP1 | None = None):
     degree <= 2*radial_nodes - 1 in u times trigonometric degree
     < angular_nodes. f may return scalars, vectors or matrices.
     """
+    if two_j < 0:
+        raise DomainError("two_j must be nonnegative")
     if spec is None:
         spec = QuadratureSpecCP1.for_spin(two_j)
     u_nodes, u_weights = gauss_legendre_01(spec.radial_nodes)

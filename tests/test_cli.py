@@ -207,6 +207,16 @@ def test_export_clock_matrix(tmp_path):
     assert np.max(np.abs(entries - np.diag([1.0, w, w**2]))) < 1e-14
 
 
+def test_monte_carlo_stdout_is_the_same_for_one_and_two_blas_threads():
+    argv = (
+        "bell", "integrate", "--space", "cpn", "--n", "4", "--p", "1", "--q", "2",
+        "--mc-samples", "200000", "--seed", "7",
+    )
+    one, two = (run_cli(*argv, env_extra={"OPENBLAS_NUM_THREADS": t}) for t in ("1", "2"))
+    assert one.returncode == two.returncode == 0
+    assert one.stdout == two.stdout
+
+
 def test_verify_all_passes():
     result = run_cli("verify", "all", "--seed", "5")
     assert result.returncode == 0
@@ -323,6 +333,20 @@ def test_bad_seeds_are_usage_errors(seed_flag, seed_env, bellforge, monkeypatch)
 
 def test_negative_spin_is_a_usage_error(bellforge):
     code, out, err = bellforge("bell", "make", "--space", "cp1", "--two-j", "-1", "--flat", "cp1:1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "measure", "--two-j", "-1"),
+        ("verify", "unity", "--two-j", "-1"),
+        ("bell", "integrate", "--space", "cp1", "--two-j", "1100", "--flat", "cp1:1", "--mc-samples", "10"),
+    ],
+)
+def test_spin_outside_the_supported_range_is_a_usage_error(argv, bellforge):
+    code, out, err = bellforge(*argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
 

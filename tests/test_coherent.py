@@ -138,6 +138,14 @@ def test_binomial_row_exact():
     assert np.array_equal(binomial_row(6), [1, 6, 15, 20, 15, 6, 1])
 
 
+def test_binomial_row_outside_float_range_is_a_domain_error():
+    assert np.array_equal(binomial_row(1029), [float(math.comb(1029, k)) for k in range(1030)])
+    with pytest.raises(DomainError):
+        binomial_row(1030)
+    with pytest.raises(DomainError):
+        spin_states_from_homogeneous(1100, np.array([[1.0, 1.0j]]))
+
+
 def test_spin_states_from_homogeneous_matches_chart_form():
     rng = np.random.default_rng(10)
     for two_j in (1, 2, 7):

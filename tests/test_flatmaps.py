@@ -5,6 +5,7 @@ import pytest
 
 from bellforge import (
     DimensionMismatchError,
+    EmptyFamilyError,
     FlatMapId,
     HomogeneousPoint,
     UnknownFlatMapError,
@@ -270,3 +271,9 @@ def test_antimap_identity_whole_catalog():
         rows_b = sample_fubini_study(n, MCSpec(samples=300, seed=202))
         pairs = list(zip(rows_a, rows_b))
         assert verify_antimap(flat, pairs, two_j=two_j or 1) < 1e-12
+
+
+def test_antimap_rejects_an_empty_pair_list():
+    for flat in (FlatMapId.cp1(2), FlatMapId.cpn(2, 1, 1)):
+        with pytest.raises(EmptyFamilyError):
+            verify_antimap(flat, [])

@@ -13,6 +13,7 @@ from bellforge import (
     integrate_cp2,
     moment_cp1,
     sample_fubini_study,
+    total_measure_cp1,
 )
 
 
@@ -170,3 +171,14 @@ def test_spec_validation():
         MCSpec(samples=0)
     with pytest.raises(DomainError):
         MCSpec(samples=1, seed=-1)
+
+
+def test_negative_spin_is_a_domain_error():
+    with pytest.raises(DomainError):
+        QuadratureSpecCP1.for_spin(-1)
+    with pytest.raises(DomainError):
+        integrate_cp1(lambda z: 1.0, -1)
+    with pytest.raises(DomainError):
+        integrate_cp1(lambda z: 1.0, -1, QuadratureSpecCP1(radial_nodes=2, angular_nodes=3))
+    with pytest.raises(DomainError):
+        total_measure_cp1(-1)
