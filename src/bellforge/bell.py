@@ -174,7 +174,7 @@ def fivel_bell(
 
         def integrand(z):
             psi = coherent_cp1(spin, z)
-            return np.kron(psi, u @ psi.conj())
+            return np.outer(psi, u @ psi.conj()).reshape(-1)  # |Z> (x) |Z^b>
 
         amps = integrate_cp1(integrand, spin, spec) / np.sqrt(dim)
     elif n == 2:
@@ -185,7 +185,7 @@ def fivel_bell(
         def integrand(z1, z2):
             psi = np.array([1.0, z1, z2], dtype=complex)
             psi /= np.linalg.norm(psi)
-            return np.kron(psi, u @ psi.conj())
+            return np.outer(psi, u @ psi.conj()).reshape(-1)
 
         amps = integrate_cp2(integrand, spec) / np.sqrt(dim)
     else:

@@ -16,6 +16,7 @@ always dim V; the quadrature tests confirm it numerically for higher n.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -35,6 +36,14 @@ def binomial_row(n: int) -> np.ndarray:
         return np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
     except OverflowError:
         raise DomainError(f"C({n}, k) exceeds float range; n must be at most 1029") from None
+
+
+@functools.lru_cache(maxsize=32)
+def _sqrt_binomials(two_j: int) -> np.ndarray:
+    """sqrt(C(2j, 0..2j)), read-only and kept for the 32 most recent spins."""
+    row = np.sqrt(binomial_row(two_j))
+    row.flags.writeable = False
+    return row
 
 
 def su2_generators(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -60,7 +69,7 @@ def coherent_cp1(two_j: int, z: complex) -> np.ndarray:
         raise DomainError("two_j must be nonnegative")
     z = complex(z)
     k = np.arange(two_j + 1)
-    amps = np.sqrt(binomial_row(two_j)) * z**k
+    amps = _sqrt_binomials(two_j) * z**k
     return amps / (1.0 + abs(z) ** 2) ** (two_j / 2.0)
 
 
@@ -93,7 +102,7 @@ def spin_states_from_homogeneous(two_j: int, zetas: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(zetas, dtype=complex).reshape(-1, 2)
     k = np.arange(two_j + 1)
-    amps = np.sqrt(binomial_row(two_j))[None, :] * z[:, [0]] ** (two_j - k) * z[:, [1]] ** k
+    amps = _sqrt_binomials(two_j)[None, :] * z[:, [0]] ** (two_j - k) * z[:, [1]] ** k
     norms = np.sum(np.abs(z) ** 2, axis=1) ** (two_j / 2.0)
     return amps / norms[:, None]
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import fourier
 from .coherent import level_one_states_from_homogeneous, spin_states_from_homogeneous
 from .errors import DimensionMismatchError, EmptyFamilyError, UnknownFlatMapError
-from .projective import HomogeneousPoint, projector_of
+from .projective import HomogeneousPoint
 
 _CP2_LETTERS = "abc"
 
@@ -153,19 +153,47 @@ def flat_projector(flat: FlatMapId, projector: np.ndarray) -> np.ndarray:
     return u @ p.conj() @ u.conj().T
 
 
+# bytes of one (rows, d, d) complex temporary in projector_consistency
+_CHUNK_BYTES = 1 << 16
+
+
+def _chunk_rows(dim: int) -> int:
+    """State rows per chunk: max(1, 4096 // dim^2) for the 64 KiB budget."""
+    return max(1, _CHUNK_BYTES // (16 * dim * dim))
+
+
 def projector_consistency(flat: FlatMapId, states) -> float:
     """max over states v of ||P(U conj v) - U conj(P(v)) U^dagger||_F: the twist
     of a state and the twist of its projector must agree.
 
-    One point at a time, so memory stays flat in the number of states; the
-    running maximum is taken with np.maximum, which keeps a NaN where max()
-    would drop one that is not first.
+    states is a (rows, d) array or a list of d-dimensional rows. They are
+    checked in chunks of max(1, 4096 // d^2) rows, so each (rows, d, d)
+    temporary stays within 64 KiB and memory is flat in the number of states.
+    The projector side goes through U conj(P) U^dagger, not through the
+    twisted state. The running maximum is taken with np.maximum, which keeps
+    a NaN where max() would drop one that is not first.
     """
+    try:
+        rows = np.asarray(states, dtype=complex)
+    except ValueError:
+        raise DimensionMismatchError("state rows must all have the same dimension") from None
+    if rows.ndim > 0 and len(rows) == 0:
+        raise EmptyFamilyError("need at least one state")
+    if rows.ndim != 2:
+        raise DimensionMismatchError(f"expected a 2-D array of state rows, got shape {rows.shape}")
+    u = global_unitary(flat, rows.shape[1])
+    u_dagger = u.conj().T
+    chunk = _chunk_rows(rows.shape[1])
     worst = 0.0
-    for v in states:
-        lhs = projector_of(flat_state(flat, v))
-        rhs = flat_projector(flat, projector_of(v))
-        worst = np.maximum(worst, np.linalg.norm(lhs - rhs))
+    for start in range(0, len(rows), chunk):
+        v = rows[start : start + chunk]
+        # U conj(v) per row, as one matrix-vector product each: bit for bit
+        # flat_state, which v.conj() @ u.T is not for complex U
+        w = (u @ v.conj()[:, :, None])[:, :, 0]
+        lhs = w[:, :, None] * w.conj()[:, None, :]
+        projectors = v[:, :, None] * v.conj()[:, None, :]
+        rhs = u @ projectors.conj() @ u_dagger
+        worst = np.maximum(worst, np.max(np.linalg.norm(lhs - rhs, axis=(1, 2))))
     return float(worst)
 
 

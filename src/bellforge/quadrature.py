@@ -134,13 +134,19 @@ def integrate_cp2(f, spec: QuadratureSpecCP2 | None = None):
 
 
 def moment_cp1(two_j: int, k: int, spec: QuadratureSpecCP1 | None = None) -> float:
-    """Quadrature of |z|^(2k) / (1+|z|^2)^(2j); equals 1/C(2j, k)."""
+    """Quadrature of |z|^(2k) / (1+|z|^2)^(2j); equals 1/C(2j, k).
+
+    Evaluated as (|z|^2 s)^k s^(2j-k) with s = 1/(1+|z|^2): both factors lie
+    in [0, 1], so no power overflows at large 2j.
+    """
     if not 0 <= k <= two_j:
         raise DomainError(f"need 0 <= k <= 2j, got k={k}, 2j={two_j}")
-    value = integrate_cp1(
-        lambda z: abs(z) ** (2 * k) / (1.0 + abs(z) ** 2) ** two_j, two_j, spec
-    )
-    return float(value.real)
+
+    def integrand(z):
+        s = 1.0 / (1.0 + abs(z) ** 2)
+        return (abs(z) ** 2 * s) ** k * s ** (two_j - k)
+
+    return float(integrate_cp1(integrand, two_j, spec).real)
 
 
 def sample_fubini_study(n: int, spec: MCSpec) -> np.ndarray:

@@ -207,14 +207,30 @@ def test_export_clock_matrix(tmp_path):
     assert np.max(np.abs(entries - np.diag([1.0, w, w**2]))) < 1e-14
 
 
-def test_monte_carlo_stdout_is_the_same_for_one_and_two_blas_threads():
-    argv = (
-        "bell", "integrate", "--space", "cpn", "--n", "4", "--p", "1", "--q", "2",
-        "--mc-samples", "200000", "--seed", "7",
-    )
+def _same_stdout_for_one_and_two_blas_threads(*argv):
     one, two = (run_cli(*argv, env_extra={"OPENBLAS_NUM_THREADS": t}) for t in ("1", "2"))
     assert one.returncode == two.returncode == 0
     assert one.stdout == two.stdout
+
+
+def test_monte_carlo_stdout_is_the_same_for_one_and_two_blas_threads():
+    _same_stdout_for_one_and_two_blas_threads(
+        "bell", "integrate", "--space", "cpn", "--n", "4", "--p", "1", "--q", "2",
+        "--mc-samples", "200000", "--seed", "7",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "consistency", "--flat", "cp1:4", "--two-j", "3", "--points", "10000", "--seed", "5"),
+        ("verify", "all", "--seed", "5"),
+    ],
+    ids=["consistency", "all"],
+)
+def test_verify_stdout_is_the_same_for_one_and_two_blas_threads(argv):
+    # the state-vs-projector check runs stacked matrix products, which may go through BLAS
+    _same_stdout_for_one_and_two_blas_threads(*argv)
 
 
 def test_verify_all_passes():

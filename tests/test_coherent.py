@@ -15,6 +15,7 @@ from bellforge import (
     su2_generators,
 )
 from bellforge.coherent import (
+    _sqrt_binomials,
     binomial_row,
     level_one_states_from_homogeneous,
     spin_states_from_homogeneous,
@@ -144,6 +145,19 @@ def test_binomial_row_outside_float_range_is_a_domain_error():
         binomial_row(1030)
     with pytest.raises(DomainError):
         spin_states_from_homogeneous(1100, np.array([[1.0, 1.0j]]))
+
+
+def test_coherent_cp1_reads_one_cached_binomial_row_per_spin():
+    _sqrt_binomials.cache_clear()
+    z = 0.3 - 1.7j
+    states = [coherent_cp1(7, z) for _ in range(5)]
+    info = _sqrt_binomials.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    assert not _sqrt_binomials(7).flags.writeable
+    k = np.arange(8)
+    direct = np.sqrt(binomial_row(7)) * z**k / (1.0 + abs(z) ** 2) ** 3.5
+    for state in states:
+        assert np.array_equal(state, direct)
 
 
 def test_spin_states_from_homogeneous_matches_chart_form():

@@ -20,7 +20,8 @@ from bellforge import (
     to_chart,
     verify_antimap,
 )
-from bellforge.flatmaps import cp1_catalog, cpn_catalog
+from bellforge.coherent import level_one_states_from_homogeneous, spin_states_from_homogeneous
+from bellforge.flatmaps import _chunk_rows, cp1_catalog, cpn_catalog
 from bellforge.quadrature import MCSpec, sample_fubini_study
 
 W = np.exp(2j * np.pi / 3.0)
@@ -259,6 +260,76 @@ def test_projector_consistency_is_the_worst_point_and_keeps_nan():
     nan_state = np.full(3, np.nan, dtype=complex)
     assert math.isnan(projector_consistency(flat, [nan_state, *states]))
     assert math.isnan(projector_consistency(flat, [*states, nan_state]))
+
+
+def _consistency_states(flat, two_j, samples, seed):
+    n = 1 if flat.space == "cp1" else flat.n
+    rows = sample_fubini_study(n, MCSpec(samples=samples, seed=seed))
+    if flat.space == "cp1":
+        return spin_states_from_homogeneous(two_j, rows)
+    return level_one_states_from_homogeneous(rows)
+
+
+def _per_point_consistency(flat, states):
+    worst = 0.0
+    for v in states:
+        lhs = projector_of(flat_state(flat, v))
+        rhs = flat_projector(flat, projector_of(v))
+        worst = np.maximum(worst, np.linalg.norm(lhs - rhs))
+    return float(worst)
+
+
+@pytest.mark.parametrize(
+    "flat, two_j",
+    [(f, two_j) for two_j in (1, 3, 6) for f in cp1_catalog()]
+    + [(f, None) for f in cpn_catalog(2) + cpn_catalog(3)],
+    ids=str,
+)
+def test_projector_consistency_matches_the_per_point_loop(flat, two_j):
+    dim = two_j + 1 if flat.space == "cp1" else flat.n + 1
+    states = _consistency_states(flat, two_j, _chunk_rows(dim) + 5, seed=71)
+    expected = _per_point_consistency(flat, states)
+    # the difference matrices agree bit for bit; only the Frobenius sum may round differently
+    assert projector_consistency(flat, states) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "flat, two_j",
+    [(FlatMapId.cp1(2), 1), (FlatMapId.cpn(2, 2, 1), None), (FlatMapId.cpn(3, 1, 2), None), (FlatMapId.cp1(4), 64)],
+    ids=str,
+)
+def test_projector_consistency_keeps_a_nan_at_every_chunk_edge(flat, two_j):
+    dim = two_j + 1 if flat.space == "cp1" else flat.n + 1
+    chunk = _chunk_rows(dim)
+    assert chunk == max(1, 4096 // dim**2)  # at most 64 KiB per (chunk, d, d) complex array
+    states = _consistency_states(flat, two_j, 2 * chunk + 3, seed=72)
+    assert projector_consistency(flat, states) < 1e-12
+    for row in sorted({0, chunk - 1, chunk, chunk + 1, len(states) - 1}):
+        poisoned = states.copy()
+        poisoned[row] = np.nan
+        assert math.isnan(projector_consistency(flat, poisoned)), row
+
+
+def test_projector_consistency_rejects_an_empty_family():
+    for flat, states in [(FlatMapId.cp1(2), []), (FlatMapId.cpn(2, 1, 1), np.zeros((0, 3), dtype=complex))]:
+        with pytest.raises(EmptyFamilyError):
+            projector_consistency(flat, states)
+
+
+@pytest.mark.parametrize(
+    "flat, states",
+    [
+        (FlatMapId.cp1(1), np.array([1.0, 0.0])),
+        (FlatMapId.cp1(1), np.ones((2, 2, 2))),
+        (FlatMapId.cp1(3), [np.ones(2), np.ones(3)]),
+        (FlatMapId.cpn(2, 1, 1), np.ones((4, 4)) / 2.0),
+        (FlatMapId.cpn(3, 0, 2), np.ones((4, 3))),
+    ],
+    ids=["one-row-1d", "3d", "ragged", "cp2-map-dim-4", "cp3-map-dim-3"],
+)
+def test_projector_consistency_rejects_rows_of_the_wrong_shape(flat, states):
+    with pytest.raises(DimensionMismatchError):
+        projector_consistency(flat, states)
 
 
 # --- the overlap-reversal identity ------------------------------------------

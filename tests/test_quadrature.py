@@ -115,6 +115,14 @@ def test_moments_match_inverse_binomials(two_j):
         assert abs(moment_cp1(two_j, k) - 1.0 / math.comb(two_j, k)) < 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("two_j, ks", [(96, (81, 88, 96)), (160, (0, 80, 150, 160))])
+def test_moments_stay_finite_at_large_spin(two_j, ks):
+    # |z|^(2k) / (1+|z|^2)^(2j) written directly overflows to inf/inf from 2j = 84
+    for k in ks:
+        assert abs(moment_cp1(two_j, k) - 1.0 / math.comb(two_j, k)) <= 1e-10
+
+
 def test_moment_domain_errors():
     with pytest.raises(DomainError):
         moment_cp1(2, 3)
