@@ -62,6 +62,7 @@ from .quadrature import (
     MCSpec,
     QuadratureSpecCP1,
     QuadratureSpecCP2,
+    cpn_rule,
     gauss_legendre_01,
     integrate_cp1,
     integrate_cp2,

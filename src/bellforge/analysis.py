@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import coherent_cp1
-from .bell import BipartiteState, _mc_states
+from .bell import BipartiteState, _weighted_states
 from .errors import DimensionMismatchError, EmptyFamilyError
 from .quadrature import (
     MCSpec,
@@ -70,19 +70,14 @@ def resolution_of_unity_cp1(two_j: int, spec: QuadratureSpecCP1 | None = None) -
 
 
 def resolution_of_unity_cp2(spec: QuadratureSpecCP2 | None = None) -> float:
-    def integrand(z1, z2):
-        psi = np.array([1.0, z1, z2], dtype=complex)
-        psi /= np.linalg.norm(psi)
-        return np.outer(psi, psi.conj())
-
-    frame = integrate_cp2(integrand, spec)
-    return float(np.linalg.norm(frame - np.eye(3)))
+    return resolution_of_unity_mc(2, spec or QuadratureSpecCP2())
 
 
-def resolution_of_unity_mc(n: int, spec: MCSpec) -> float:
-    """Monte Carlo frame-operator deviation on CP^n (level-one states)."""
-    states = _mc_states("cpn", n + 1, spec)
-    frame = (n + 1) / spec.samples * states.T @ states.conj()
+def resolution_of_unity_mc(n: int, spec: MCSpec | QuadratureSpecCP2) -> float:
+    """Frame-operator deviation on CP^n (level-one states) over the Monte
+    Carlo draw of an MCSpec, or over the rule of a QuadratureSpecCP2."""
+    states, weights = _weighted_states("cpn", n + 1, spec)
+    frame = weights * states.T @ states.conj()
     return float(np.linalg.norm(frame - np.eye(n + 1)))
 
 

@@ -17,15 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import coherent_cp1, level_one_states_from_homogeneous, spin_states_from_homogeneous
+from .coherent import coherent_cp1, coherent_states
 from .errors import DimensionMismatchError, DomainError
 from .flatmaps import FlatMapId, global_unitary
 from .quadrature import (
     MCSpec,
     QuadratureSpecCP1,
     QuadratureSpecCP2,
+    cpn_rule,
     integrate_cp1,
-    integrate_cp2,
     sample_fubini_study,
 )
 
@@ -98,15 +98,15 @@ def closed_form_bell_cp2(p: int, q: int) -> BipartiteState:
     return generalized_bell(3, p, q)
 
 
-def _dims_for(flat: FlatMapId, two_j: int | None) -> tuple[int, int]:
-    """(state dimension, manifold dimension) for a catalog id."""
+def _dim_for(flat: FlatMapId, two_j: int | None) -> int:
+    """State dimension for a catalog id."""
     if flat.space == "cp1":
         if two_j is None:
             raise DomainError("cp1 integrals need two_j")
         if two_j < 0:
             raise DomainError("two_j must be nonnegative")
-        return two_j + 1, 1
-    return flat.n + 1, flat.n
+        return two_j + 1
+    return flat.n + 1
 
 
 # ((space, dim, spec), read-only states) of the most recent Monte Carlo draw
@@ -129,23 +129,20 @@ def _mc_states(space: str, dim: int, spec: MCSpec) -> np.ndarray:
     if entry is not None and entry[0] == key:
         return entry[1]
     _last_draw = entry = None
-    if space == "cp1":
-        states = spin_states_from_homogeneous(dim - 1, sample_fubini_study(1, spec))
-    else:
-        states = level_one_states_from_homogeneous(sample_fubini_study(dim - 1, spec))
+    n = 1 if space == "cp1" else dim - 1
+    states = coherent_states(space, sample_fubini_study(n, spec), dim - 1)
     states.flags.writeable = False
     _last_draw = (key, states)
     return states
 
 
-def _fivel_mc(flat: FlatMapId, spec: MCSpec, two_j: int | None) -> BipartiteState:
-    dim, _ = _dims_for(flat, two_j)
-    states = _mc_states(flat.space, dim, spec)
-    u = global_unitary(flat, dim)
-    twisted = states.conj() @ u.T
-    # mean of |Z>(x)|Z^b> over samples, scaled by the total measure dim V
-    matrix = (dim / spec.samples) * states.T @ twisted
-    return BipartiteState(dim, dim, matrix.reshape(-1) / np.sqrt(dim))
+def _weighted_states(space: str, dim: int, spec: QuadratureSpecCP2 | MCSpec):
+    """(states, weights) whose weighted sums integrate with total mass dim:
+    the Monte Carlo draw at weight dim/samples, or the rule on CP^(dim-1)."""
+    if isinstance(spec, MCSpec):
+        return _mc_states(space, dim, spec), dim / spec.samples
+    rows, weights = cpn_rule(dim - 1, spec)
+    return coherent_states("cpn", rows), weights
 
 
 def fivel_bell(
@@ -156,49 +153,38 @@ def fivel_bell(
 ) -> tuple[BipartiteState, float]:
     """Numerically evaluate the coherent-state integral for one catalog map.
 
-    Deterministic quadrature covers the sphere (cp1 at any spin, cpn with
-    n = 1) and cpn with n = 2; pass an MCSpec for higher n or for
-    cross-checks; consecutive Monte Carlo calls with one spec share one draw.
-    Returns the state and the norm residual abs(norm - 1).
+    A cp1 tag takes a QuadratureSpecCP1, integrated node by node, a cpn id of
+    any n the QuadratureSpecCP2 rule of cpn_rule; either takes an MCSpec, and
+    consecutive Monte Carlo calls with one spec share one draw. Returns the
+    state and the norm residual abs(norm - 1).
     """
-    if isinstance(spec, MCSpec):
-        state = _fivel_mc(flat, spec, two_j)
-        return state, abs(state.norm() - 1.0)
-
-    dim, n = _dims_for(flat, two_j)
-    if n == 1:
-        spin = two_j if flat.space == "cp1" else 1
-        if spec is None:
-            spec = QuadratureSpecCP1.for_spin(spin)
-        u = global_unitary(flat, dim)
+    dim = _dim_for(flat, two_j)
+    rule = QuadratureSpecCP1 if flat.space == "cp1" else QuadratureSpecCP2
+    if spec is None:
+        spec = QuadratureSpecCP1.for_spin(two_j) if flat.space == "cp1" else QuadratureSpecCP2()
+    if not isinstance(spec, (rule, MCSpec)):
+        kind = type(spec).__name__
+        raise DomainError(f"{flat} takes a {rule.__name__} or an MCSpec, not a {kind}")
+    u = global_unitary(flat, dim)
+    if isinstance(spec, QuadratureSpecCP1):
 
         def integrand(z):
-            psi = coherent_cp1(spin, z)
+            psi = coherent_cp1(two_j, z)
             return np.outer(psi, u @ psi.conj()).reshape(-1)  # |Z> (x) |Z^b>
 
-        amps = integrate_cp1(integrand, spin, spec) / np.sqrt(dim)
-    elif n == 2:
-        if spec is None:
-            spec = QuadratureSpecCP2()
-        u = global_unitary(flat, dim)
-
-        def integrand(z1, z2):
-            psi = np.array([1.0, z1, z2], dtype=complex)
-            psi /= np.linalg.norm(psi)
-            return np.outer(psi, u @ psi.conj()).reshape(-1)
-
-        amps = integrate_cp2(integrand, spec) / np.sqrt(dim)
+        amps = integrate_cp1(integrand, two_j, spec) / np.sqrt(dim)
     else:
-        raise DomainError(
-            f"no deterministic rule on CP^{n}; pass an MCSpec for Monte Carlo"
-        )
+        states, weights = _weighted_states(flat.space, dim, spec)
+        twisted = states.conj() @ u.T
+        # sum of weight |Z>(x)|Z^b> over the points, of total mass dim V
+        amps = (weights * states.T @ twisted).reshape(-1) / np.sqrt(dim)
     state = BipartiteState(dim, dim, amps)
     return state, abs(state.norm() - 1.0)
 
 
 def bell_target(flat: FlatMapId, *, two_j: int | None = None) -> BipartiteState:
     """(1/sqrt(d)) (I (x) U) sum_k |k>|k>: what the integral must produce."""
-    dim, _ = _dims_for(flat, two_j)
+    dim = _dim_for(flat, two_j)
     u = global_unitary(flat, dim)
     amps = np.zeros(dim * dim, dtype=complex)
     for k in range(dim):

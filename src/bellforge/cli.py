@@ -35,7 +35,7 @@ from .flatmaps import (
     projector_consistency,
     verify_antimap,
 )
-from .coherent import level_one_states_from_homogeneous, spin_states_from_homogeneous
+from .coherent import coherent_states
 from .quadrature import MCSpec, QuadratureSpecCP1, QuadratureSpecCP2, moment_cp1, sample_fubini_study
 
 DEFAULT_SEED = 0
@@ -210,7 +210,7 @@ def _quadrature_spec(space, two_j, radial_nodes=None, angular_nodes=None, simple
 # subcommand handlers
 
 
-def _cmd_bell_make(args, parser) -> int:
+def _cmd_bell_make(args) -> int:
     flat, two_j, _ = _resolve_flat(args.space, args.flat, args.two_j, args.n, args.p, args.q)
     state = _closed_form_for(flat, two_j)
     config = {"space": args.space, "flat": str(flat)}
@@ -242,13 +242,10 @@ def _bell_integral(tol, notes, spec=None, output=None, **flags):
     return [Check("state-distance", distance, tol), Check("norm-residual", norm_residual, tol)]
 
 
-def _cmd_bell_integrate(args, parser) -> int:
+def _cmd_bell_integrate(args) -> int:
     flags = {key: vars(args)[key] for key in _BELL_FLAGS}
     flat, two_j, _ = _resolve_flat(**flags)
-    use_mc = args.mc_samples is not None
-    if flat.space == "cpn" and flat.n > 2 and not use_mc:
-        parser.error(f"CP^{flat.n} has no deterministic rule; pass --mc-samples")
-    if use_mc:
+    if args.mc_samples is not None:
         seed = _resolve_seed(args)
         spec = MCSpec(samples=args.mc_samples, seed=seed)
         config_spec = {"mc_samples": args.mc_samples, "seed": seed}
@@ -318,10 +315,7 @@ def _antimap(tol, notes, seed, flat=None, two_j=1, pairs=1000):
 
 def _consistency(tol, notes, seed, flat=None, two_j=1, points=1000):
     flat, rows = _sample_rows(flat, points, seed)
-    if flat.space == "cp1":
-        states = spin_states_from_homogeneous(two_j, rows)
-    else:
-        states = level_one_states_from_homogeneous(rows)
+    states = coherent_states(flat.space, rows, two_j)
     return [Check(f"state-vs-projector-{flat}", projector_consistency(flat, states), tol)]
 
 
@@ -417,7 +411,7 @@ _VERIFY = {
 }
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     names, seeded, run, default_tol = _VERIFY[args.what]
     config = {key: vars(args)[key] for key in names if vars(args)[key] is not None}
     if seeded:
@@ -432,7 +426,7 @@ def _cmd_verify(args, parser) -> int:
     return report.exit_code()
 
 
-def _cmd_export(args, parser) -> int:
+def _cmd_export(args) -> int:
     builders = {"walsh": fourier.walsh_hadamard, "clock": fourier.clock, "shift": fourier.shift}
     matrix = builders[args.what](args.n)
     _write_json(_matrix_document(matrix), args.output)
@@ -511,7 +505,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        code = args.func(args, parser)
+        code = args.func(args)
     except BellforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -64,13 +64,17 @@ def su2_generators(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def coherent_cp1(two_j: int, z: complex) -> np.ndarray:
-    """Spin-j coherent state at the chart coordinate z."""
+    """Spin-j coherent state at the chart coordinate z; refused where
+    (1+|z|^2)^j leaves float range."""
     if two_j < 0:
         raise DomainError("two_j must be nonnegative")
     z = complex(z)
+    try:
+        norm = (1.0 + abs(z) ** 2) ** (two_j / 2.0)
+    except OverflowError:
+        raise DomainError(f"(1+|z|^2)^j leaves float range at 2j = {two_j}") from None
     k = np.arange(two_j + 1)
-    amps = _sqrt_binomials(two_j) * z**k
-    return amps / (1.0 + abs(z) ** 2) ** (two_j / 2.0)
+    return _sqrt_binomials(two_j) * z**k / norm
 
 
 def coherent_cpn(n: int, c: ChartPoint) -> np.ndarray:
@@ -111,3 +115,11 @@ def level_one_states_from_homogeneous(zetas: np.ndarray) -> np.ndarray:
     """Normalized rows of homogeneous CP^n coordinates (level-one states)."""
     z = np.asarray(zetas, dtype=complex)
     return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def coherent_states(space: str, rows, two_j: int = 1) -> np.ndarray:
+    """One coherent state per row of homogeneous coordinates: spin-j states
+    (2j = two_j) for space "cp1", level-one states for "cpn"."""
+    if space == "cp1":
+        return spin_states_from_homogeneous(two_j, rows)
+    return level_one_states_from_homogeneous(rows)

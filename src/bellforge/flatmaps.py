@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .coherent import level_one_states_from_homogeneous, spin_states_from_homogeneous
+from .coherent import coherent_states
 from .errors import DimensionMismatchError, EmptyFamilyError, UnknownFlatMapError
 from .projective import HomogeneousPoint
 
@@ -208,12 +208,8 @@ def verify_antimap(flat: FlatMapId, pairs, two_j: int = 1) -> float:
         raise EmptyFamilyError("need at least one pair")
     lhs_rows = np.stack([np.asarray(getattr(a, "coords", a), dtype=complex) for a, _ in pairs])
     rhs_rows = np.stack([np.asarray(getattr(b, "coords", b), dtype=complex) for _, b in pairs])
-    if flat.space == "cp1":
-        za = spin_states_from_homogeneous(two_j, lhs_rows)
-        zb = spin_states_from_homogeneous(two_j, rhs_rows)
-    else:
-        za = level_one_states_from_homogeneous(lhs_rows)
-        zb = level_one_states_from_homogeneous(rhs_rows)
+    za = coherent_states(flat.space, lhs_rows, two_j)
+    zb = coherent_states(flat.space, rhs_rows, two_j)
     u = global_unitary(flat, za.shape[1])
     fa = za.conj() @ u.T
     fb = zb.conj() @ u.T

@@ -1,17 +1,17 @@
-"""Integration against the invariant measures of CP^1 and CP^2, plus seeded
-Monte Carlo sampling of CP^n for cross-checks.
+"""Integration against the invariant measures of CP^n, plus seeded Monte
+Carlo sampling of CP^n for cross-checks.
 
-Deterministic rules use measure-adapted substitutions that flatten the
-densities exactly:
+Deterministic rules flatten the density exactly with t_i = |zeta_i|^2/|zeta|^2,
 
-  cp1:  u = |z|^2/(1+|z|^2)            d mu = (2j+1)/(2 pi) du d theta
-  cp2:  t_i = |z_i|^2/(1+|z1|^2+|z2|^2) d mu = 3/(2 pi^2) dt1 dt2 d theta1 d theta2
+  d mu = dim V n!/(2 pi)^n dt_1 .. dt_n d theta_1 .. d theta_n   (dim V = 2j+1 or n+1)
 
-on [0,1] x circle and simplex x torus respectively. Gauss-Legendre handles the
-radial/simplex factors (exact for polynomial degree <= 2m-1 per axis, with the
-simplex reached through the map t1 = x, t2 = y(1-x)); uniform angular grids of
-K points annihilate every mode e^(i m theta) with 0 < |m| < K exactly. Node
-evaluation is serial in a fixed order, so results are reproducible bit for bit.
+on simplex x torus. The simplex factor is the collapsed Gauss-Legendre rule
+t_k = x_k (1 - t_1 - .. - t_(k-1)) (Stroud 1971; Grundmann & Moller 1978), exact
+for degree <= 2m-1 per axis after the map's Jacobian; uniform angular grids of
+K points annihilate every mode e^(i m theta) with 0 < |m| < K exactly.
+`cpn_rule` returns the rule as rows and weights; `integrate_cp1` and
+`integrate_cp2` stream it through a callback in a fixed order, so results are
+reproducible bit for bit.
 
 Monte Carlo sampling draws unnormalized homogeneous coordinates as standard
 complex Gaussians, zeta = sqrt(-log(1-u1)) exp(2 pi i u2), the polar Box-Muller
@@ -21,6 +21,8 @@ distribution is the normalized invariant measure.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,7 @@ import numpy as np
 from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
+MAX_RULE_ROWS = 1 << 20  # the largest rule cpn_rule builds: 80 MiB of rows on CP^4
 
 
 @dataclass(frozen=True)
@@ -75,13 +78,33 @@ def gauss_legendre_01(m: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _accumulate(total, value, weight):
-    value = np.asarray(value, dtype=complex) * weight
-    return value if total is None else total + value
+def _simplex_points(n: int, m: int):
+    """([t_0, .., t_n], weight) of the collapsed rule, m nodes per axis, as Python floats."""
+    x, w = (a.tolist() for a in gauss_legendre_01(m))
+    for index in itertools.product(range(m), repeat=n):
+        t, rest, jacobian = [], 1.0, 1.0
+        for i in index:
+            jacobian *= rest
+            t.append(x[i] * rest)
+            rest -= t[-1]
+        yield [rest, *t], math.prod(w[i] for i in index) * jacobian
 
 
-def _finish(total, scale):
-    total = total * scale
+def _torus_points(n: int, k: int):
+    """The k^n phase tuples (e^(i theta_1), .., e^(i theta_n)), last fastest."""
+    return itertools.product(np.exp(1j * (TWO_PI * np.arange(k) / k)).tolist(), repeat=n)
+
+
+def _integrate(f, n: int, simplex_nodes: int, angular_nodes: int, mass: float):
+    """The rule on CP^n for total mass `mass`, with f called in a fixed order
+    at the chart point z_i = sqrt(t_i/t_0) e^(i theta_i) of each row."""
+    total = None
+    for t, weight in _simplex_points(n, simplex_nodes):
+        radii = [math.sqrt(ti / t[0]) for ti in t[1:]]
+        for angles in _torus_points(n, angular_nodes):
+            value = np.asarray(f(*[r * a for r, a in zip(radii, angles)]), dtype=complex) * weight
+            total = value if total is None else total + value
+    total = total * (mass / angular_nodes**n)
     return total.item() if total.ndim == 0 else total
 
 
@@ -96,14 +119,7 @@ def integrate_cp1(f, two_j: int, spec: QuadratureSpecCP1 | None = None):
         raise DomainError("two_j must be nonnegative")
     if spec is None:
         spec = QuadratureSpecCP1.for_spin(two_j)
-    u_nodes, u_weights = gauss_legendre_01(spec.radial_nodes)
-    thetas = TWO_PI * np.arange(spec.angular_nodes) / spec.angular_nodes
-    total = None
-    for u, wu in zip(u_nodes, u_weights):
-        r = np.sqrt(u / (1.0 - u))
-        for theta in thetas:
-            total = _accumulate(total, f(r * np.exp(1j * theta)), wu)
-    return _finish(total, (two_j + 1) / spec.angular_nodes)
+    return _integrate(f, 1, spec.radial_nodes, spec.angular_nodes, two_j + 1)
 
 
 def integrate_cp2(f, spec: QuadratureSpecCP2 | None = None):
@@ -114,23 +130,22 @@ def integrate_cp2(f, spec: QuadratureSpecCP2 | None = None):
     """
     if spec is None:
         spec = QuadratureSpecCP2()
-    nodes, weights = gauss_legendre_01(spec.simplex_nodes)
-    thetas = TWO_PI * np.arange(spec.angular_nodes) / spec.angular_nodes
-    phases = np.exp(1j * thetas)
-    total = None
-    for x, wx in zip(nodes, weights):
-        for y, wy in zip(nodes, weights):
-            t1 = x
-            t2 = y * (1.0 - x)
-            rest = 1.0 - t1 - t2
-            r1 = np.sqrt(t1 / rest)
-            r2 = np.sqrt(t2 / rest)
-            w = wx * wy * (1.0 - x)  # simplex-map Jacobian
-            for pa in phases:
-                z1 = r1 * pa
-                for pb in phases:
-                    total = _accumulate(total, f(z1, r2 * pb), w)
-    return _finish(total, 6.0 / spec.angular_nodes**2)
+    return _integrate(f, 2, spec.simplex_nodes, spec.angular_nodes, 6)
+
+
+def cpn_rule(n: int, spec: QuadratureSpecCP2) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows (sqrt t_0, sqrt t_1 e^(i theta_1), .., sqrt t_n e^(i theta_n))
+    of the rule on CP^n, in the order integrate_cp2 visits them, and weights
+    summing to the level-one mass n+1; refused past MAX_RULE_ROWS rows."""
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    m, k = spec.simplex_nodes, spec.angular_nodes
+    if (m * k) ** n > MAX_RULE_ROWS:
+        raise DomainError(f"the rule on CP^{n} has {(m * k) ** n} rows, more than {MAX_RULE_ROWS}")
+    t, weights = map(np.array, zip(*_simplex_points(n, m)))
+    angles = np.array([(1.0, *a) for a in _torus_points(n, k)])
+    rows = (np.sqrt(t)[:, None, :] * angles[None, :, :]).reshape(-1, n + 1)
+    return rows, np.repeat(weights * ((n + 1) * math.factorial(n) / k**n), k**n)
 
 
 def moment_cp1(two_j: int, k: int, spec: QuadratureSpecCP1 | None = None) -> float:

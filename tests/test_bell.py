@@ -9,9 +9,11 @@ from bellforge import (
     FlatMapId,
     MCSpec,
     QuadratureSpecCP1,
+    QuadratureSpecCP2,
     bell_target,
     closed_form_bell_cp1,
     closed_form_bell_cp2,
+    cpn_rule,
     fivel_bell,
     generalized_bell,
     rank_of_family,
@@ -174,9 +176,21 @@ def test_under_resolved_rule_is_visibly_wrong():
     assert state_distance(state, closed_form_bell_cp1(2, 1)) > 1e-3
 
 
-def test_quadrature_requires_cp1_or_cp2():
+def test_quadrature_covers_cp3_and_refuses_rules_past_the_row_bound():
+    for flat in cpn_catalog(3):
+        state, residual = fivel_bell(flat)
+        assert state_distance(state, generalized_bell(4, flat.p, flat.q)) < 1e-10
+        assert residual < 1e-10
+    # CP^5 at the default rule: (4 x 7)^5 = 17.2M rows
     with pytest.raises(DomainError):
-        fivel_bell(FlatMapId.cpn(3, 1, 1))
+        fivel_bell(FlatMapId.cpn(5, 1, 1))
+
+
+def test_a_spec_of_the_wrong_kind_is_a_domain_error():
+    with pytest.raises(DomainError):
+        fivel_bell(FlatMapId.cp1(1), QuadratureSpecCP2(), two_j=1)
+    with pytest.raises(DomainError):
+        fivel_bell(FlatMapId.cpn(2, 0, 0), QuadratureSpecCP1(3, 5))
 
 
 def test_sphere_pairs_via_cpn_ids():
@@ -193,53 +207,14 @@ def test_cp1_requires_spin():
         fivel_bell(FlatMapId.cp1(1))
 
 
-def _integrate_cp3(f, simplex_nodes=3, angular_nodes=5):
-    """Independent deterministic rule on CP^3 (test oracle only).
-
-    Same flattening as the shipped CP^1/CP^2 rules, one dimension up:
-    t_i = |z_i|^2/(1 + sum |z|^2) turns the measure into
-    4 * 3! / (2 pi)^3 * dt1 dt2 dt3 d theta^3 on simplex x torus.
-    """
-    from bellforge.quadrature import gauss_legendre_01
-
-    nodes, weights = gauss_legendre_01(simplex_nodes)
-    phases = np.exp(2j * np.pi * np.arange(angular_nodes) / angular_nodes)
-    total = 0.0
-    for x1, w1 in zip(nodes, weights):
-        t1 = x1
-        for x2, w2 in zip(nodes, weights):
-            t2 = x2 * (1.0 - t1)
-            for x3, w3 in zip(nodes, weights):
-                t3 = x3 * (1.0 - t1 - t2)
-                rest = 1.0 - t1 - t2 - t3
-                jac = (1.0 - t1) * (1.0 - t1 - t2)
-                r = np.sqrt(np.array([t1, t2, t3]) / rest)
-                w = w1 * w2 * w3 * jac
-                for pa in phases:
-                    for pb in phases:
-                        for pc in phases:
-                            z = r * np.array([pa, pb, pc])
-                            total = total + w * np.asarray(f(z), dtype=complex)
-    return total * 24.0 / angular_nodes**3
-
-
 def test_generalized_family_against_deterministic_cp3_rule():
     # exact-quadrature cross-check of the dimension-4 family, far below the
     # Monte Carlo noise floor
-    from bellforge import global_unitary
-
-    flat = FlatMapId.cpn(3, 1, 2)
-    u = global_unitary(flat, 4)
-
-    def integrand(z):
-        psi = np.concatenate(([1.0], z))
-        psi = psi / np.linalg.norm(psi)
-        return np.kron(psi, u @ psi.conj())
-
-    mass = _integrate_cp3(lambda z: 1.0)
-    assert abs(mass - 4.0) < 1e-12
-    amps = _integrate_cp3(integrand) / 2.0
-    assert np.max(np.abs(amps - generalized_bell(4, 1, 2).amplitudes)) < 1e-8
+    spec = QuadratureSpecCP2(simplex_nodes=3, angular_nodes=5)
+    _, weights = cpn_rule(3, spec)
+    assert abs(weights.sum() - 4.0) < 1e-12
+    state, _ = fivel_bell(FlatMapId.cpn(3, 1, 2), spec)
+    assert np.max(np.abs(state.amplitudes - generalized_bell(4, 1, 2).amplitudes)) < 1e-8
 
 
 # --- the analytic transport identity -----------------------------------------

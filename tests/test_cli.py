@@ -119,9 +119,9 @@ def test_usage_errors_exit_2():
     assert run_cli("bell", "integrate", "--space", "cp1").returncode == 2
     assert run_cli("bell", "make", "--space", "cp2", "--flat", "cp1:1").returncode == 2
     assert run_cli("bell", "integrate", "--no-such-flag").returncode == 2
-    # CP^3 and above has no deterministic rule
+    # CP^5 at the default rule has (4 x 7)^5 rows, past the 2^20 bound
     assert (
-        run_cli("bell", "integrate", "--space", "cpn", "--n", "4", "--p", "0", "--q", "0").returncode
+        run_cli("bell", "integrate", "--space", "cpn", "--n", "6", "--p", "0", "--q", "0").returncode
         == 2
     )
 
@@ -218,6 +218,19 @@ def test_monte_carlo_stdout_is_the_same_for_one_and_two_blas_threads():
         "bell", "integrate", "--space", "cpn", "--n", "4", "--p", "1", "--q", "2",
         "--mc-samples", "200000", "--seed", "7",
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bell", "integrate", "--space", "cp2", "--flat", "cp2:a2"),
+        ("bell", "integrate", "--space", "cpn", "--n", "4", "--p", "1", "--q", "2"),
+    ],
+    ids=["cp2", "cp3"],
+)
+def test_quadrature_stdout_is_the_same_for_one_and_two_blas_threads(argv):
+    # the rule on CP^n is contracted with matrix products, which may go through BLAS
+    _same_stdout_for_one_and_two_blas_threads(*argv)
 
 
 @pytest.mark.parametrize(
@@ -359,12 +372,23 @@ def test_negative_spin_is_a_usage_error(bellforge):
         ("verify", "measure", "--two-j", "-1"),
         ("verify", "unity", "--two-j", "-1"),
         ("bell", "integrate", "--space", "cp1", "--two-j", "1100", "--flat", "cp1:1", "--mc-samples", "10"),
+        # the outermost radial node of the 2j = 160 rule leaves float range;
+        # one angle per node reaches it in a fraction of the full rule's time
+        ("bell", "integrate", "--space", "cp1", "--two-j", "160", "--flat", "cp1:1", "--angular-nodes", "1"),
+        ("verify", "unity", "--two-j", "160", "--angular-nodes", "1"),
     ],
 )
 def test_spin_outside_the_supported_range_is_a_usage_error(argv, bellforge):
     code, out, err = bellforge(*argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+def test_bell_integrate_on_the_sphere_of_a_cpn_id_passes(bellforge):
+    code, out, _ = bellforge("bell", "integrate", "--space", "cpn", "--n", "2", "--p", "1", "--q", "1")
+    assert code == 0
+    assert "config: angular_nodes=7 flat=cpn:1:1:1 simplex_nodes=4 space=cpn" in out
+    assert "result: PASS (2/2)" in out
 
 
 @pytest.mark.parametrize("two_j, rank", [(0, 1), (1, 4), (2, 3), (3, 4), (4, 4), (5, 4)])

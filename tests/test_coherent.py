@@ -17,6 +17,7 @@ from bellforge import (
 from bellforge.coherent import (
     _sqrt_binomials,
     binomial_row,
+    coherent_states,
     level_one_states_from_homogeneous,
     spin_states_from_homogeneous,
 )
@@ -158,6 +159,22 @@ def test_coherent_cp1_reads_one_cached_binomial_row_per_spin():
     direct = np.sqrt(binomial_row(7)) * z**k / (1.0 + abs(z) ** 2) ** 3.5
     for state in states:
         assert np.array_equal(state, direct)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coherent_cp1_refuses_points_past_float_range():
+    # (1+|z|^2)^80 is finite up to |z| = 84.4 and overflows beyond
+    assert np.isfinite(coherent_cp1(160, 80.0)).all()
+    for z in (90.0, 135.2j, 1e200):
+        with pytest.raises(DomainError):
+            coherent_cp1(160, z)
+
+
+def test_coherent_states_are_spin_states_for_cp1_and_level_one_states_for_cpn():
+    rng = np.random.default_rng(14)
+    rows = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    assert np.array_equal(coherent_states("cp1", rows, 3), spin_states_from_homogeneous(3, rows))
+    assert np.array_equal(coherent_states("cpn", rows, 3), level_one_states_from_homogeneous(rows))
 
 
 def test_spin_states_from_homogeneous_matches_chart_form():

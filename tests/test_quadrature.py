@@ -8,6 +8,7 @@ from bellforge import (
     MCSpec,
     QuadratureSpecCP1,
     QuadratureSpecCP2,
+    cpn_rule,
     gauss_legendre_01,
     integrate_cp1,
     integrate_cp2,
@@ -107,6 +108,42 @@ def test_cp2_rule_against_monte_carlo():
         estimate = float(np.mean(values))
         stderr = float(np.std(values) / math.sqrt(values.size))
         assert abs(exact - estimate) <= 5.0 * stderr
+
+
+def test_cpn_rule_at_n_2_is_the_rule_of_integrate_cp2():
+    spec = QuadratureSpecCP2(simplex_nodes=3, angular_nodes=4)
+    rows, weights = cpn_rule(2, spec)
+    assert rows.shape == (9 * 16, 3) and weights.shape == (9 * 16,)
+    assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    def f(z1, z2):
+        psi = np.array([1.0, z1, z2]) / math.sqrt(1.0 + abs(z1) ** 2 + abs(z2) ** 2)
+        return np.outer(psi, psi.conj()) * psi[1] ** 2
+
+    streamed = integrate_cp2(f, spec)
+    # rows[k, 0] is real and positive, so each row is the chart state itself
+    at_rows = [np.outer(r, r.conj()) * r[1] ** 2 for r in rows]
+    assert np.max(np.abs(np.tensordot(weights, at_rows, axes=1) - streamed)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_cpn_rule_has_the_total_mass_and_moments_of_cpn(n):
+    # t_i = |row_i|^2 is uniform on the simplex under the normalized measure:
+    # E[t_0^2 t_n] = n! 2! 1! / (n+3)!, a polynomial the 4-node rule integrates exactly
+    rows, weights = cpn_rule(n, QuadratureSpecCP2(simplex_nodes=4, angular_nodes=1))
+    assert abs(weights.sum() - (n + 1)) < 1e-12
+    t = np.abs(rows) ** 2
+    moment = weights @ (t[:, 0] ** 2 * t[:, n]) / (n + 1)
+    assert abs(moment - 2.0 * math.factorial(n) / math.factorial(n + 3)) < 1e-15
+
+
+def test_cpn_rule_refuses_more_than_2_to_the_20_rows():
+    rows, _ = cpn_rule(2, QuadratureSpecCP2(simplex_nodes=32, angular_nodes=32))
+    assert len(rows) == 2**20
+    too_big = [(2, QuadratureSpecCP2(simplex_nodes=33, angular_nodes=32)), (5, QuadratureSpecCP2())]
+    for n, spec in [*too_big, (0, QuadratureSpecCP2())]:
+        with pytest.raises(DomainError):
+            cpn_rule(n, spec)
 
 
 @pytest.mark.parametrize("two_j", range(0, 11))
