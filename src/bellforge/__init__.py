@@ -24,14 +24,10 @@ from .bell import (
 from .coherent import (
     binomial_row,
     coherent_cp1,
-    coherent_cpn,
-    measure_density_cp1,
-    measure_density_cpn,
     su2_generators,
 )
 from .errors import (
     BellforgeError,
-    ChartSingularError,
     DimensionMismatchError,
     DomainError,
     EmptyFamilyError,
@@ -50,13 +46,9 @@ from .flatmaps import (
 )
 from .fourier import clock, shift, verify_shift_diagonalization, walsh_hadamard
 from .projective import (
-    ChartPoint,
     HomogeneousPoint,
-    chart_transition,
-    chart_vector,
     projector_distance,
     projector_of,
-    to_chart,
 )
 from .quadrature import (
     MCSpec,

@@ -7,13 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import coherent_cp1
+from .coherent import check_spin_range, coherent_cp1
 from .bell import BipartiteState, _weighted_states
 from .errors import DimensionMismatchError, EmptyFamilyError
 from .quadrature import (
     MCSpec,
     QuadratureSpecCP1,
     QuadratureSpecCP2,
+    cp1_outermost_points,
     integrate_cp1,
     integrate_cp2,
 )
@@ -58,8 +59,12 @@ def state_distance(a: BipartiteState, b: BipartiteState) -> float:
 
 
 def resolution_of_unity_cp1(two_j: int, spec: QuadratureSpecCP1 | None = None) -> float:
-    """Frobenius deviation of the coherent-family frame operator from identity."""
+    """Frobenius deviation of the coherent-family frame operator from identity;
+    refused before the first node when a node lies outside the range of
+    coherent_cp1."""
     dim = two_j + 1
+    spec = spec or QuadratureSpecCP1.for_spin(two_j)
+    check_spin_range(two_j, cp1_outermost_points(spec))
 
     def integrand(z):
         psi = coherent_cp1(two_j, z)

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import coherent_cp1, coherent_states
+from .coherent import check_spin_range, coherent_cp1, coherent_states
 from .errors import DimensionMismatchError, DomainError
 from .flatmaps import FlatMapId, global_unitary
 from .quadrature import (
     MCSpec,
     QuadratureSpecCP1,
     QuadratureSpecCP2,
+    cp1_outermost_points,
     cpn_rule,
     integrate_cp1,
     sample_fubini_study,
@@ -153,10 +154,11 @@ def fivel_bell(
 ) -> tuple[BipartiteState, float]:
     """Numerically evaluate the coherent-state integral for one catalog map.
 
-    A cp1 tag takes a QuadratureSpecCP1, integrated node by node, a cpn id of
-    any n the QuadratureSpecCP2 rule of cpn_rule; either takes an MCSpec, and
-    consecutive Monte Carlo calls with one spec share one draw. Returns the
-    state and the norm residual abs(norm - 1).
+    A cp1 tag takes a QuadratureSpecCP1, integrated node by node and refused
+    before the first node when one lies outside the range of coherent_cp1; a
+    cpn id of any n takes the QuadratureSpecCP2 rule of cpn_rule. Either takes
+    an MCSpec, and consecutive Monte Carlo calls with one spec share one draw.
+    Returns the state and the norm residual abs(norm - 1).
     """
     dim = _dim_for(flat, two_j)
     rule = QuadratureSpecCP1 if flat.space == "cp1" else QuadratureSpecCP2
@@ -167,6 +169,7 @@ def fivel_bell(
         raise DomainError(f"{flat} takes a {rule.__name__} or an MCSpec, not a {kind}")
     u = global_unitary(flat, dim)
     if isinstance(spec, QuadratureSpecCP1):
+        check_spin_range(two_j, cp1_outermost_points(spec))
 
         def integrand(z):
             psi = coherent_cp1(two_j, z)

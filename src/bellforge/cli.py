@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -190,20 +191,19 @@ def _closed_form_label(flat: FlatMapId, two_j: int | None) -> str:
     )
 
 
-def _quadrature_spec(space, two_j, radial_nodes=None, angular_nodes=None, simplex_nodes=None):
-    """The default rule for `space` ("cp1", else CP^2), with each node count
-    that is given replacing its default."""
-    if space == "cp1":
-        base = QuadratureSpecCP1.for_spin(two_j)
-        return QuadratureSpecCP1(
-            radial_nodes=radial_nodes or base.radial_nodes,
-            angular_nodes=angular_nodes or base.angular_nodes,
-        )
-    base = QuadratureSpecCP2()
-    return QuadratureSpecCP2(
-        simplex_nodes=simplex_nodes or base.simplex_nodes,
-        angular_nodes=angular_nodes or base.angular_nodes,
-    )
+def _refuse_foreign_nodes(nodes: dict, accepted, rule: str) -> None:
+    """A node count given for a rule that does not read it is a usage error."""
+    foreign = [key for key, value in nodes.items() if value is not None and key not in accepted]
+    if foreign:
+        raise DomainError(f"--{foreign[0].replace('_', '-')} does not apply to {rule}")
+
+
+def _quadrature_spec(space, two_j, **nodes):
+    """The default rule for `space` ("cp1", else CP^n), with each node count
+    that is given (not None) replacing its default."""
+    base = QuadratureSpecCP1.for_spin(two_j) if space == "cp1" else QuadratureSpecCP2()
+    _refuse_foreign_nodes(nodes, base.__dataclass_fields__, f"the {space} rule")
+    return dataclasses.replace(base, **{k: v for k, v in nodes.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +245,15 @@ def _bell_integral(tol, notes, spec=None, output=None, **flags):
 def _cmd_bell_integrate(args) -> int:
     flags = {key: vars(args)[key] for key in _BELL_FLAGS}
     flat, two_j, _ = _resolve_flat(**flags)
+    nodes = {key: vars(args)[key] for key in _NODES}
     if args.mc_samples is not None:
+        _refuse_foreign_nodes(nodes, (), "Monte Carlo (--mc-samples)")
         seed = _resolve_seed(args)
         spec = MCSpec(samples=args.mc_samples, seed=seed)
         config_spec = {"mc_samples": args.mc_samples, "seed": seed}
         tolerance = args.tolerance if args.tolerance is not None else MC_TOL
     else:
-        spec = _quadrature_spec(
-            flat.space, two_j, args.radial_nodes, args.angular_nodes, args.simplex_nodes
-        )
+        spec = _quadrature_spec(flat.space, two_j, **nodes)
         config_spec = {k: getattr(spec, k) for k in spec.__dataclass_fields__}
         tolerance = args.tolerance if args.tolerance is not None else QUAD_TOL
 

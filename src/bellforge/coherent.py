@@ -1,17 +1,11 @@
-"""Coherent-state families and their invariant measures.
+"""Coherent-state families.
 
 Spin-j states on CP^1 (dim 2j+1) and level-one states on CP^n (dim n+1):
 
     |z>      = sum_k sqrt(C(2j,k)) z^k / (1+|z|^2)^j  |k>,       z in C
     |(z_i)>  = (1, z_1, ..., z_n) / sqrt(1 + sum |z_i|^2)
 
-with measure densities against the Lebesgue area elements
-
-    cp1:  (2j+1)/pi  * 1/(1+|z|^2)^2
-    cpn:  (n+1) n!/pi^n * 1/(1 + sum |z_i|^2)^(n+1)
-
-The cpn normalization extends the n = 1, 2 values so that the total mass is
-always dim V; the quadrature tests confirm it numerically for higher n.
+The invariant measures they are integrated against are given in `quadrature`.
 """
 
 from __future__ import annotations
@@ -21,8 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
-from .projective import ChartPoint, chart_vector
+from .errors import DomainError
 
 
 def binomial_row(n: int) -> np.ndarray:
@@ -69,32 +62,24 @@ def coherent_cp1(two_j: int, z: complex) -> np.ndarray:
     if two_j < 0:
         raise DomainError("two_j must be nonnegative")
     z = complex(z)
-    try:
-        norm = (1.0 + abs(z) ** 2) ** (two_j / 2.0)
-    except OverflowError:
-        raise DomainError(f"(1+|z|^2)^j leaves float range at 2j = {two_j}") from None
+    norm = _spin_norm(two_j, z)
     k = np.arange(two_j + 1)
     return _sqrt_binomials(two_j) * z**k / norm
 
 
-def coherent_cpn(n: int, c: ChartPoint) -> np.ndarray:
-    """Level-one coherent state on CP^n; identical to the chart unit vector."""
-    if c.n != n:
-        raise DimensionMismatchError(f"chart point lives on CP^{c.n}, not CP^{n}")
-    return chart_vector(c)
+def _spin_norm(two_j: int, z: complex) -> float:
+    """(1+|z|^2)^j, refused where it leaves float range."""
+    try:
+        return (1.0 + abs(z) ** 2) ** (two_j / 2.0)
+    except OverflowError:
+        raise DomainError(f"(1+|z|^2)^j leaves float range at 2j = {two_j}") from None
 
 
-def measure_density_cp1(two_j: int, z: complex) -> float:
-    return (two_j + 1) / math.pi / (1.0 + abs(complex(z)) ** 2) ** 2
-
-
-def measure_density_cpn(n: int, c: ChartPoint) -> float:
-    if c.n != n:
-        raise DimensionMismatchError(f"chart point lives on CP^{c.n}, not CP^{n}")
-    if c.chart_index != 0:
-        raise DomainError("density is expressed in chart 0 coordinates")
-    s = 1.0 + float(np.sum(np.abs(c.local) ** 2))
-    return (n + 1) * math.factorial(n) / math.pi**n / s ** (n + 1)
+def check_spin_range(two_j: int, points) -> None:
+    """Refuse with DomainError, before any state is built, when coherent_cp1
+    would refuse one of the chart points z."""
+    for z in points:
+        _spin_norm(two_j, complex(z))
 
 
 def spin_states_from_homogeneous(two_j: int, zetas: np.ndarray) -> np.ndarray:

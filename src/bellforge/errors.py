@@ -5,10 +5,6 @@ class BellforgeError(Exception):
     """Base class for all bellforge errors."""
 
 
-class ChartSingularError(BellforgeError):
-    """A point cannot be expressed in the requested chart."""
-
-
 class UnknownFlatMapError(BellforgeError):
     """Flat-map identifier outside the supported catalogs."""
 

@@ -200,16 +200,14 @@ def projector_consistency(flat: FlatMapId, states) -> float:
 def verify_antimap(flat: FlatMapId, pairs, two_j: int = 1) -> float:
     """max over pairs of |<Z^b|W^b> - <W|Z>|.
 
-    Pairs are (point, point) tuples of homogeneous coordinates (arrays or
-    HomogeneousPoint). For cp1 the overlap is taken in the spin-j space.
+    Pairs are (row, row) tuples of homogeneous coordinates. For cp1 the
+    overlap is taken in the spin-j space.
     """
     pairs = list(pairs)
     if not pairs:
         raise EmptyFamilyError("need at least one pair")
-    lhs_rows = np.stack([np.asarray(getattr(a, "coords", a), dtype=complex) for a, _ in pairs])
-    rhs_rows = np.stack([np.asarray(getattr(b, "coords", b), dtype=complex) for _, b in pairs])
-    za = coherent_states(flat.space, lhs_rows, two_j)
-    zb = coherent_states(flat.space, rhs_rows, two_j)
+    za = coherent_states(flat.space, np.stack([a for a, _ in pairs]), two_j)
+    zb = coherent_states(flat.space, np.stack([b for _, b in pairs]), two_j)
     u = global_unitary(flat, za.shape[1])
     fa = za.conj() @ u.T
     fb = zb.conj() @ u.T

@@ -1,4 +1,4 @@
-"""Points of CP^N: homogeneous coordinates, local charts and rank-1 projectors.
+"""Points of CP^N: homogeneous coordinates and rank-1 projectors.
 
 A projective point is stored as an unnormalized coordinate vector; two points
 are the same iff their rank-1 projectors coincide, which sidesteps any scale
@@ -11,18 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartSingularError, DimensionMismatchError
+from .errors import DimensionMismatchError
 
-# |coords[chart]| below CHART_TOL * max|coords| counts as singular
-CHART_TOL = 1e-14
 PROJECTOR_TOL = 1e-12
-
-
-def _complex_vector(values) -> np.ndarray:
-    v = np.asarray(values, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError("expected a one-dimensional coordinate array")
-    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,7 +23,9 @@ class HomogeneousPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        v = _complex_vector(self.coords)
+        v = np.asarray(self.coords, dtype=complex)
+        if v.ndim != 1:
+            raise ValueError("expected a one-dimensional coordinate array")
         if v.size < 2 or not np.any(np.abs(v) > 0.0):
             raise ValueError("need at least two coordinates, not all zero")
         object.__setattr__(self, "coords", v)
@@ -58,60 +51,10 @@ class HomogeneousPoint:
     __hash__ = None  # tolerance-based equality
 
 
-@dataclass(frozen=True, eq=False)
-class ChartPoint:
-    """Local coordinates on the chart where coordinate `chart_index` equals 1."""
-
-    chart_index: int
-    local: np.ndarray
-
-    def __post_init__(self):
-        v = _complex_vector(self.local)
-        if not 0 <= self.chart_index <= v.size:
-            raise ValueError(f"chart index {self.chart_index} out of range for CP^{v.size}")
-        object.__setattr__(self, "local", v)
-
-    @property
-    def n(self) -> int:
-        return self.local.size
-
-    def lift(self) -> HomogeneousPoint:
-        coords = np.insert(self.local, self.chart_index, 1.0)
-        return HomogeneousPoint(coords)
-
-
-def to_chart(point: HomogeneousPoint, chart: int, tol: float = CHART_TOL) -> ChartPoint:
-    """Divide by coordinate `chart` and drop it.
-
-    Raises ChartSingularError when that coordinate is (relatively) zero.
-    """
-    v = point.coords
-    if not 0 <= chart <= point.n:
-        raise ValueError(f"chart {chart} out of range for CP^{point.n}")
-    pivot = v[chart]
-    if abs(pivot) <= tol * np.max(np.abs(v)):
-        raise ChartSingularError(f"coordinate {chart} vanishes; point lies outside that chart")
-    return ChartPoint(chart, np.delete(v / pivot, chart))
-
-
-def chart_vector(c: ChartPoint) -> np.ndarray:
-    """Unit vector (local coords with 1 inserted) / sqrt(1 + sum |local|^2).
-
-    The amplitude at `chart_index` is real positive by construction.
-    """
-    lift = np.insert(c.local, c.chart_index, 1.0)
-    return lift / np.sqrt(1.0 + np.sum(np.abs(c.local) ** 2))
-
-
 def projector_of(v: np.ndarray) -> np.ndarray:
     """Rank-1 projector |v><v| of a unit vector."""
     v = np.asarray(v, dtype=complex)
     return np.outer(v, v.conj())
-
-
-def chart_transition(c: ChartPoint, target: int) -> ChartPoint:
-    """Re-express the same projective point in another chart."""
-    return to_chart(c.lift(), target)
 
 
 def projector_distance(p: np.ndarray, q: np.ndarray) -> float:

@@ -95,15 +95,22 @@ def _torus_points(n: int, k: int):
     return itertools.product(np.exp(1j * (TWO_PI * np.arange(k) / k)).tolist(), repeat=n)
 
 
-def _integrate(f, n: int, simplex_nodes: int, angular_nodes: int, mass: float):
-    """The rule on CP^n for total mass `mass`, with f called in a fixed order
-    at the chart point z_i = sqrt(t_i/t_0) e^(i theta_i) of each row."""
-    total = None
-    for t, weight in _simplex_points(n, simplex_nodes):
+def _chart_points(n: int, simplex_points, angular_nodes: int):
+    """([z_1, .., z_n], raw weight) for each simplex point times each torus
+    point, in that order, at z_i = sqrt(t_i/t_0) e^(i theta_i)."""
+    for t, weight in simplex_points:
         radii = [math.sqrt(ti / t[0]) for ti in t[1:]]
         for angles in _torus_points(n, angular_nodes):
-            value = np.asarray(f(*[r * a for r, a in zip(radii, angles)]), dtype=complex) * weight
-            total = value if total is None else total + value
+            yield [r * a for r, a in zip(radii, angles)], weight
+
+
+def _integrate(f, n: int, simplex_nodes: int, angular_nodes: int, mass: float):
+    """The rule on CP^n for total mass `mass`, with f called at each chart
+    point in turn."""
+    total = None
+    for z, weight in _chart_points(n, _simplex_points(n, simplex_nodes), angular_nodes):
+        value = np.asarray(f(*z), dtype=complex) * weight
+        total = value if total is None else total + value
     total = total * (mass / angular_nodes**n)
     return total.item() if total.ndim == 0 else total
 
@@ -120,6 +127,13 @@ def integrate_cp1(f, two_j: int, spec: QuadratureSpecCP1 | None = None):
     if spec is None:
         spec = QuadratureSpecCP1.for_spin(two_j)
     return _integrate(f, 1, spec.radial_nodes, spec.angular_nodes, two_j + 1)
+
+
+def cp1_outermost_points(spec: QuadratureSpecCP1) -> list[complex]:
+    """The chart points z at the last radial node of spec, where integrate_cp1
+    reaches its largest |z|, exactly as it passes them to f."""
+    outermost = list(_simplex_points(1, spec.radial_nodes))[-1:]
+    return [z for (z,), _ in _chart_points(1, outermost, spec.angular_nodes)]
 
 
 def integrate_cp2(f, spec: QuadratureSpecCP2 | None = None):

@@ -17,9 +17,11 @@ from bellforge import (
     fivel_bell,
     generalized_bell,
     rank_of_family,
+    resolution_of_unity_cp1,
     state_distance,
     unitary_transport_identity,
 )
+from bellforge import analysis, bell, coherent
 from bellforge.flatmaps import cpn_catalog
 
 W = np.exp(2j * np.pi / 3.0)
@@ -200,6 +202,26 @@ def test_sphere_pairs_via_cpn_ids():
             state, residual = fivel_bell(FlatMapId.cpn(1, p, q))
             assert state_distance(state, generalized_bell(2, p, q)) < 1e-12
             assert residual < 1e-12
+
+
+def test_a_spin_past_float_range_is_refused_before_any_node(monkeypatch):
+    calls = []
+
+    def counting(two_j, z):
+        calls.append(z)
+        return coherent.coherent_cp1(two_j, z)
+
+    monkeypatch.setattr(bell, "coherent_cp1", counting)
+    monkeypatch.setattr(analysis, "coherent_cp1", counting)
+    # (1+|z|^2)^80 leaves float range at the outermost node of the default 2j = 160 rule
+    with pytest.raises(DomainError):
+        fivel_bell(FlatMapId.cp1(1), two_j=160)
+    with pytest.raises(DomainError):
+        resolution_of_unity_cp1(160)
+    assert calls == []
+    fivel_bell(FlatMapId.cp1(1), two_j=2)
+    resolution_of_unity_cp1(2)
+    assert len(calls) == 2 * 4 * 7
 
 
 def test_cp1_requires_spin():

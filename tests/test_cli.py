@@ -372,13 +372,35 @@ def test_negative_spin_is_a_usage_error(bellforge):
         ("verify", "measure", "--two-j", "-1"),
         ("verify", "unity", "--two-j", "-1"),
         ("bell", "integrate", "--space", "cp1", "--two-j", "1100", "--flat", "cp1:1", "--mc-samples", "10"),
-        # the outermost radial node of the 2j = 160 rule leaves float range;
-        # one angle per node reaches it in a fraction of the full rule's time
+        # the outermost radial node of the 2j = 160 rule leaves float range,
+        # which is refused before any node is evaluated
         ("bell", "integrate", "--space", "cp1", "--two-j", "160", "--flat", "cp1:1", "--angular-nodes", "1"),
         ("verify", "unity", "--two-j", "160", "--angular-nodes", "1"),
+        ("bell", "integrate", "--space", "cp1", "--two-j", "160", "--flat", "cp1:1"),
+        ("verify", "unity", "--two-j", "160"),
     ],
 )
 def test_spin_outside_the_supported_range_is_a_usage_error(argv, bellforge):
+    code, out, err = bellforge(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bell", "integrate", "--space", "cp1", "--two-j", "2", "--flat", "cp1:1", "--radial-nodes", "0"),
+        ("bell", "integrate", "--space", "cp1", "--two-j", "2", "--flat", "cp1:1", "--angular-nodes", "0"),
+        ("bell", "integrate", "--space", "cp2", "--flat", "cp2:a2", "--simplex-nodes", "0"),
+        ("verify", "unity", "--space", "cp1", "--two-j", "2", "--angular-nodes", "0"),
+        # a node count the chosen rule does not read
+        ("verify", "unity", "--space", "cp2", "--radial-nodes", "1"),
+        ("bell", "integrate", "--space", "cpn", "--n", "4", "--p", "1", "--q", "2", "--radial-nodes", "3"),
+        ("bell", "integrate", "--space", "cp1", "--two-j", "2", "--flat", "cp1:1", "--simplex-nodes", "3"),
+        ("bell", "integrate", "--space", "cp2", "--flat", "cp2:a2", "--mc-samples", "10", "--angular-nodes", "7"),
+    ],
+)
+def test_node_counts_the_rule_cannot_use_are_usage_errors(argv, bellforge):
     code, out, err = bellforge(*argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")

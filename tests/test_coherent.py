@@ -3,17 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellforge import (
-    ChartPoint,
-    DomainError,
-    chart_vector,
-    coherent_cp1,
-    coherent_cpn,
-    integrate_cp1,
-    measure_density_cp1,
-    measure_density_cpn,
-    su2_generators,
-)
+from bellforge import DomainError, coherent_cp1, integrate_cp1, su2_generators
 from bellforge.coherent import (
     _sqrt_binomials,
     binomial_row,
@@ -71,51 +61,12 @@ def test_coherent_cp1_unit_norm():
         assert abs(np.linalg.norm(coherent_cp1(two_j, z)) - 1.0) < 1e-12
 
 
-def test_coherent_cp1_matches_chart_vector_at_spin_half():
+def test_coherent_cp1_at_spin_half_is_the_normalized_pair_one_z():
     rng = np.random.default_rng(6)
     for _ in range(50):
         z = rng.standard_normal() + 1j * rng.standard_normal()
-        assert np.allclose(
-            coherent_cp1(1, z), chart_vector(ChartPoint(0, [z])), atol=1e-12
-        )
-
-
-def test_coherent_cpn_examples():
-    assert np.allclose(coherent_cpn(2, ChartPoint(0, [0.0, 0.0])), [1, 0, 0], atol=1e-15)
-    assert np.allclose(
-        coherent_cpn(2, ChartPoint(0, [1.0, 1.0])), np.ones(3) / np.sqrt(3.0), atol=1e-15
-    )
-    assert np.allclose(
-        coherent_cpn(3, ChartPoint(0, [1.0, 1.0, 1.0])), 0.5 * np.ones(4), atol=1e-15
-    )
-
-
-def test_measure_density_cp1_values():
-    assert abs(measure_density_cp1(1, 0.0) - 2.0 / math.pi) < 1e-15
-    assert abs(measure_density_cp1(0, 0.0) - 1.0 / math.pi) < 1e-15
-    assert abs(measure_density_cp1(1, 1.0) - 1.0 / (2.0 * math.pi)) < 1e-15
-
-
-def test_measure_density_cpn_values():
-    assert abs(measure_density_cpn(2, ChartPoint(0, [0.0, 0.0])) - 6.0 / math.pi**2) < 1e-15
-    assert (
-        abs(measure_density_cpn(2, ChartPoint(0, [1.0, 1.0])) - 2.0 / (9.0 * math.pi**2))
-        < 1e-15
-    )
-
-
-def test_measure_density_cpn_matches_cp1_fundamental():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        z = rng.standard_normal() + 1j * rng.standard_normal()
-        assert abs(
-            measure_density_cpn(1, ChartPoint(0, [z])) - measure_density_cp1(1, z)
-        ) < 1e-15
-
-
-def test_measure_density_cpn_requires_chart_zero():
-    with pytest.raises(DomainError):
-        measure_density_cpn(2, ChartPoint(1, [1.0, 1.0]))
+        expected = np.array([1.0, z]) / np.sqrt(1.0 + abs(z) ** 2)
+        assert np.allclose(coherent_cp1(1, z), expected, atol=1e-12)
 
 
 def test_measure_invariant_under_inversion():

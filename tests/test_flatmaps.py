@@ -17,7 +17,6 @@ from bellforge import (
     projector_consistency,
     projector_distance,
     projector_of,
-    to_chart,
     verify_antimap,
 )
 from bellforge.coherent import level_one_states_from_homogeneous, spin_states_from_homogeneous
@@ -185,7 +184,7 @@ def test_flat_point_chart_boundary():
 def test_flat_point_cp2_chart_formula():
     z1, z2 = 0.4 + 0.9j, -1.1 + 0.3j
     image = flat_point(FlatMapId.cpn(2, 0, 1), HomogeneousPoint([1.0, z1, z2]))
-    local = to_chart(image, 0).local
+    local = image.coords[1:] / image.coords[0]
     expected = [1.0 / np.conj(z2), np.conj(z1) / np.conj(z2)]
     assert np.max(np.abs(local - expected)) < 1e-12
 

@@ -1,50 +1,7 @@
 import numpy as np
 import pytest
 
-from bellforge import (
-    ChartPoint,
-    ChartSingularError,
-    HomogeneousPoint,
-    chart_transition,
-    chart_vector,
-    projector_distance,
-    projector_of,
-    to_chart,
-)
-
-
-def test_to_chart_unit_pivot():
-    c = to_chart(HomogeneousPoint([1.0, 2.0j]), 0)
-    assert c.chart_index == 0
-    assert np.allclose(c.local, [2.0j], atol=1e-15)
-
-
-def test_to_chart_singular():
-    with pytest.raises(ChartSingularError):
-        to_chart(HomogeneousPoint([0.0, 1.0]), 0)
-
-
-def test_to_chart_middle_pivot():
-    z1, z2 = 0.3 - 0.7j, 1.5 + 0.2j
-    c = to_chart(HomogeneousPoint([1.0, z1, z2]), 1)
-    assert c.chart_index == 1
-    assert np.allclose(c.local, [1.0 / z1, z2 / z1], atol=1e-14)
-
-
-def test_chart_vector_basis_state():
-    v = chart_vector(ChartPoint(0, [0.0]))
-    assert np.allclose(v, [1.0, 0.0], atol=1e-15)
-
-
-def test_chart_vector_equal_weight():
-    v = chart_vector(ChartPoint(0, [1.0]))
-    assert np.allclose(v, np.array([1.0, 1.0]) / np.sqrt(2.0), atol=1e-15)
-
-
-def test_chart_vector_cp2_middle_chart():
-    v = chart_vector(ChartPoint(1, [1.0j, 1.0]))
-    assert np.allclose(v, np.array([1.0j, 1.0, 1.0]) / np.sqrt(3.0), atol=1e-15)
-    assert v[1].imag == 0.0 and v[1].real > 0.0
+from bellforge import HomogeneousPoint, projector_distance, projector_of
 
 
 def test_projector_of_basis_state():
@@ -61,22 +18,6 @@ def test_projector_of_circular():
     p = projector_of(np.array([1.0, 1.0j]) / np.sqrt(2.0))
     expected = np.array([[0.5, -0.5j], [0.5j, 0.5]])
     assert np.allclose(p, expected, atol=1e-15)
-
-
-def test_chart_transition_cp1():
-    c = chart_transition(ChartPoint(0, [2.0]), 1)
-    assert c.chart_index == 1
-    assert np.allclose(c.local, [0.5], atol=1e-15)
-
-
-def test_chart_transition_cp2():
-    c = chart_transition(ChartPoint(0, [1.0, 1.0]), 2)
-    assert np.allclose(c.local, [1.0, 1.0], atol=1e-15)
-
-
-def test_chart_transition_singular():
-    with pytest.raises(ChartSingularError):
-        chart_transition(ChartPoint(0, [0.0]), 1)
 
 
 def test_projective_equality_up_to_scale():
@@ -96,33 +37,21 @@ def test_projector_properties_random_points():
     rng = np.random.default_rng(42)
     for _ in range(200):
         n = rng.integers(1, 4)
-        chart = int(rng.integers(0, n + 1))
-        local = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        p = projector_of(chart_vector(ChartPoint(chart, local)))
+        coords = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        p = projector_of(HomogeneousPoint(coords).unit_vector())
         assert np.linalg.norm(p - p.conj().T) < 1e-12
         assert np.linalg.norm(p @ p - p) < 1e-12
         assert abs(np.trace(p) - 1.0) < 1e-12
-
-
-def test_chart_round_trip():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        n = int(rng.integers(1, 4))
-        local = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        a, b = rng.choice(n + 1, size=2, replace=False)
-        start = ChartPoint(int(a), local)
-        back = chart_transition(chart_transition(start, int(b)), int(a))
-        assert back.chart_index == start.chart_index
-        assert np.max(np.abs(back.local - start.local)) < 1e-12
 
 
 def test_projector_is_chart_independent():
     rng = np.random.default_rng(11)
     for _ in range(100):
         coords = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        point = HomogeneousPoint(coords)
+        # the affine chart where coordinate `chart` is 1 rescales the coordinates
         projectors = [
-            projector_of(chart_vector(to_chart(point, chart))) for chart in range(3)
+            projector_of(HomogeneousPoint(coords / coords[chart]).unit_vector())
+            for chart in range(3)
         ]
         for p in projectors[1:]:
             assert projector_distance(projectors[0], p) < 1e-12

@@ -16,6 +16,8 @@ from bellforge import (
     sample_fubini_study,
     total_measure_cp1,
 )
+from bellforge.coherent import check_spin_range, coherent_cp1
+from bellforge.quadrature import cp1_outermost_points
 
 
 def test_gauss_legendre_01_exactness():
@@ -165,6 +167,33 @@ def test_moment_domain_errors():
         moment_cp1(2, 3)
     with pytest.raises(DomainError):
         moment_cp1(2, -1)
+
+
+@pytest.mark.parametrize("radial_nodes", [3, 30, 149, 150])
+def test_the_outermost_radial_node_decides_the_spin_range(radial_nodes):
+    spec = QuadratureSpecCP1(radial_nodes, 5)
+    points = []
+    integrate_cp1(lambda z: points.append(z) or 0.0, 0, spec)
+    outermost = cp1_outermost_points(spec)
+    assert outermost == points[-5:]
+
+    def refused(call):
+        try:
+            call()
+        except DomainError:
+            return True
+        return False
+
+    first = next(j2 for j2 in range(1030) if refused(lambda: check_spin_range(j2, outermost)))
+    # coherent_cp1 refuses a point of the rule exactly from that spin on
+    assert not refused(lambda: [coherent_cp1(first - 1, z) for z in points])
+    assert refused(lambda: [coherent_cp1(first, z) for z in points])
+
+
+def test_the_default_cp1_rule_is_in_range_up_to_2j_147():
+    check_spin_range(147, cp1_outermost_points(QuadratureSpecCP1.for_spin(147)))
+    with pytest.raises(DomainError):
+        check_spin_range(148, cp1_outermost_points(QuadratureSpecCP1.for_spin(148)))
 
 
 def test_sampling_is_deterministic():
