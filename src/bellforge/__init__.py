@@ -24,7 +24,6 @@ from .bell import (
 from .coherent import (
     binomial_row,
     coherent_cp1,
-    su2_generators,
 )
 from .errors import (
     BellforgeError,
@@ -37,7 +36,6 @@ from .flatmaps import (
     FlatMapId,
     cp1_catalog,
     cpn_catalog,
-    flat_point,
     flat_projector,
     flat_state,
     global_unitary,
@@ -45,11 +43,7 @@ from .flatmaps import (
     verify_antimap,
 )
 from .fourier import clock, shift, verify_shift_diagonalization, walsh_hadamard
-from .projective import (
-    HomogeneousPoint,
-    projector_distance,
-    projector_of,
-)
+from .projective import projector_of
 from .quadrature import (
     MCSpec,
     QuadratureSpecCP1,
@@ -59,6 +53,7 @@ from .quadrature import (
     integrate_cp1,
     integrate_cp2,
     moment_cp1,
+    moments_cp1,
     sample_fubini_study,
 )
 

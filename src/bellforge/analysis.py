@@ -7,17 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import check_spin_range, coherent_cp1
-from .bell import BipartiteState, _weighted_states
+from .bell import BipartiteState, _cp1_integral, _weighted_states
 from .errors import DimensionMismatchError, EmptyFamilyError
-from .quadrature import (
-    MCSpec,
-    QuadratureSpecCP1,
-    QuadratureSpecCP2,
-    cp1_outermost_points,
-    integrate_cp1,
-    integrate_cp2,
-)
+from .quadrature import MCSpec, QuadratureSpecCP1, QuadratureSpecCP2, integrate_cp1, integrate_cp2
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,16 +54,9 @@ def resolution_of_unity_cp1(two_j: int, spec: QuadratureSpecCP1 | None = None) -
     """Frobenius deviation of the coherent-family frame operator from identity;
     refused before the first node when a node lies outside the range of
     coherent_cp1."""
-    dim = two_j + 1
     spec = spec or QuadratureSpecCP1.for_spin(two_j)
-    check_spin_range(two_j, cp1_outermost_points(spec))
-
-    def integrand(z):
-        psi = coherent_cp1(two_j, z)
-        return np.outer(psi, psi.conj())
-
-    frame = integrate_cp1(integrand, two_j, spec)
-    return float(np.linalg.norm(frame - np.eye(dim)))
+    frame = _cp1_integral(two_j, spec, lambda psi: np.outer(psi, psi.conj()))
+    return float(np.linalg.norm(frame - np.eye(two_j + 1)))
 
 
 def resolution_of_unity_cp2(spec: QuadratureSpecCP2 | None = None) -> float:

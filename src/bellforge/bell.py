@@ -146,6 +146,14 @@ def _weighted_states(space: str, dim: int, spec: QuadratureSpecCP2 | MCSpec):
     return coherent_states("cpn", rows), weights
 
 
+def _cp1_integral(two_j: int, spec: QuadratureSpecCP1, term):
+    """Integral of term(|z>) against the spin-j measure, with |z> =
+    coherent_cp1(two_j, z) at each node of spec; refused before the first
+    node when one lies outside the range of coherent_cp1."""
+    check_spin_range(two_j, cp1_outermost_points(spec))
+    return integrate_cp1(lambda z: term(coherent_cp1(two_j, z)), two_j, spec)
+
+
 def fivel_bell(
     flat: FlatMapId,
     spec: QuadratureSpecCP1 | QuadratureSpecCP2 | MCSpec | None = None,
@@ -169,13 +177,9 @@ def fivel_bell(
         raise DomainError(f"{flat} takes a {rule.__name__} or an MCSpec, not a {kind}")
     u = global_unitary(flat, dim)
     if isinstance(spec, QuadratureSpecCP1):
-        check_spin_range(two_j, cp1_outermost_points(spec))
-
-        def integrand(z):
-            psi = coherent_cp1(two_j, z)
-            return np.outer(psi, u @ psi.conj()).reshape(-1)  # |Z> (x) |Z^b>
-
-        amps = integrate_cp1(integrand, two_j, spec) / np.sqrt(dim)
+        # |Z> (x) |Z^b> at each node
+        amps = _cp1_integral(two_j, spec, lambda psi: np.outer(psi, u @ psi.conj()).reshape(-1))
+        amps = amps / np.sqrt(dim)
     else:
         states, weights = _weighted_states(flat.space, dim, spec)
         twisted = states.conj() @ u.T

@@ -37,7 +37,7 @@ from .flatmaps import (
     verify_antimap,
 )
 from .coherent import coherent_states
-from .quadrature import MCSpec, QuadratureSpecCP1, QuadratureSpecCP2, moment_cp1, sample_fubini_study
+from .quadrature import MCSpec, QuadratureSpecCP1, QuadratureSpecCP2, moments_cp1, sample_fubini_study
 
 DEFAULT_SEED = 0
 QUAD_TOL = 1e-10
@@ -320,9 +320,8 @@ def _consistency(tol, notes, seed, flat=None, two_j=1, points=1000):
 
 
 def _moments(tol, notes, two_j=1):
-    if two_j < 0:
-        raise DomainError("two_j must be nonnegative")
-    residuals = (abs(moment_cp1(two_j, k) - 1.0 / math.comb(two_j, k)) for k in range(two_j + 1))
+    moments = moments_cp1(two_j)
+    residuals = (abs(m - 1.0 / math.comb(two_j, k)) for k, m in enumerate(moments))
     return [Check(f"moments-two_j-{two_j}", _worst(residuals), tol)]
 
 

@@ -39,23 +39,6 @@ def _sqrt_binomials(two_j: int) -> np.ndarray:
     return row
 
 
-def su2_generators(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ladder and weight matrices (J+, J-, J3) in the basis |k>, k = 0..2j.
-
-    J+|k> = sqrt((2j-k)(k+1)) |k+1>,  J-|k> = sqrt(k(2j-k+1)) |k-1>,
-    J3|k> = (-j+k) |k>.
-    """
-    if two_j < 0:
-        raise DomainError("two_j must be nonnegative")
-    dim = two_j + 1
-    k = np.arange(dim - 1)
-    j_plus = np.zeros((dim, dim))
-    j_plus[k + 1, k] = np.sqrt((two_j - k) * (k + 1.0))
-    j_minus = j_plus.T.copy()
-    j_3 = np.diag(np.arange(dim) - two_j / 2.0)
-    return j_plus, j_minus, j_3
-
-
 def coherent_cp1(two_j: int, z: complex) -> np.ndarray:
     """Spin-j coherent state at the chart coordinate z; refused where
     (1+|z|^2)^j leaves float range."""
@@ -88,12 +71,35 @@ def spin_states_from_homogeneous(two_j: int, zetas: np.ndarray) -> np.ndarray:
     Row k-amplitude: sqrt(C(2j,k)) zeta_0^(2j-k) zeta_1^k / |zeta|^(2j).
     Same projective point as coherent_cp1 at z = zeta_1/zeta_0, with the global
     phase fixed differently; use only where a global phase cancels.
+
+    A row whose powers leave float range, such as (1e-30, 1e-30j) at 2j = 12,
+    is evaluated again from its coordinates scaled by an exact power of two;
+    other rows are left untouched. Rows that are all zero or not finite, and
+    states that stay out of range even so, are refused with DomainError.
     """
     z = np.asarray(zetas, dtype=complex).reshape(-1, 2)
+    if not (np.isfinite(z).all() and z.any(axis=1).all()):
+        raise DomainError("homogeneous coordinates must be finite and not all zero")
+    states = _spin_rows(two_j, z)
+    bad = ~np.isfinite(states).all(axis=1)
+    if bad.any():
+        rows = z[bad]
+        # 2^-e with e the exponent of the largest real or imaginary part
+        _, e = np.frexp(np.maximum(abs(rows.real), abs(rows.imag)).max(axis=1))
+        scaled = np.ldexp(rows.real, -e[:, None]) + 1j * np.ldexp(rows.imag, -e[:, None])
+        states[bad] = _spin_rows(two_j, scaled)
+        if not np.isfinite(states[bad]).all():
+            raise DomainError(f"a spin state leaves float range at 2j = {two_j}")
+    return states
+
+
+def _spin_rows(two_j: int, z: np.ndarray) -> np.ndarray:
+    """The states of spin_states_from_homogeneous, not finite where a power leaves float range."""
     k = np.arange(two_j + 1)
-    amps = _sqrt_binomials(two_j)[None, :] * z[:, [0]] ** (two_j - k) * z[:, [1]] ** k
-    norms = np.sum(np.abs(z) ** 2, axis=1) ** (two_j / 2.0)
-    return amps / norms[:, None]
+    with np.errstate(all="ignore"):
+        amps = _sqrt_binomials(two_j)[None, :] * z[:, [0]] ** (two_j - k) * z[:, [1]] ** k
+        norms = np.sum(np.abs(z) ** 2, axis=1) ** (two_j / 2.0)
+        return amps / norms[:, None]
 
 
 def level_one_states_from_homogeneous(zetas: np.ndarray) -> np.ndarray:

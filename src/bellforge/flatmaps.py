@@ -16,6 +16,11 @@ Catalog:
   cpn pairs (p, q), 0 <= p, q <= n, on the (n+1)-dimensional space:
     U = shift^q clock^p, with clock = diag(omega^k), omega = exp(2 pi i/(n+1)).
     For n = 2 the pairs are labelled a1..c3: letter = q (a, b, c), digit = p+1.
+
+On points the map is flat_state applied to fundamental homogeneous
+coordinates, rows of 2 for a cp1 tag and of n+1 on CP^n: [zeta] -> [U conj(zeta)].
+The homogeneous form needs no chart, so a chart boundary such as z = 0 under
+z -> 1/conj(z) is no special case.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import numpy as np
 from . import fourier
 from .coherent import coherent_states
 from .errors import DimensionMismatchError, EmptyFamilyError, UnknownFlatMapError
-from .projective import HomogeneousPoint
 
 _CP2_LETTERS = "abc"
 
@@ -128,20 +132,6 @@ def flat_state(flat: FlatMapId, psi: np.ndarray) -> np.ndarray:
             f"state has dim {psi.size}, map lives on CP^{flat.n} (dim {flat.n + 1})"
         )
     return global_unitary(flat, psi.size) @ psi.conj()
-
-
-def flat_point(flat: FlatMapId, point: HomogeneousPoint) -> HomogeneousPoint:
-    """The map on projective points, [zeta] -> [U conj(zeta)].
-
-    Homogeneous form, so chart boundaries (for example z = 0 under z -> 1/conj(z))
-    need no special casing.
-    """
-    fundamental = 2 if flat.space == "cp1" else flat.n + 1
-    if point.coords.size != fundamental:
-        raise DimensionMismatchError(
-            f"point has {point.coords.size} coordinates, expected {fundamental}"
-        )
-    return HomogeneousPoint(global_unitary(flat, fundamental) @ point.coords.conj())
 
 
 def flat_projector(flat: FlatMapId, projector: np.ndarray) -> np.ndarray:

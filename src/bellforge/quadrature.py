@@ -178,6 +178,17 @@ def moment_cp1(two_j: int, k: int, spec: QuadratureSpecCP1 | None = None) -> flo
     return float(integrate_cp1(integrand, two_j, spec).real)
 
 
+def moments_cp1(two_j: int, spec: QuadratureSpecCP1 | None = None) -> list[float]:
+    """[moment_cp1(two_j, k, spec) for k = 0..2j], bit for bit, from one pass
+    over the nodes: each k is evaluated with the same Python-float powers."""
+
+    def integrand(z):
+        s = 1.0 / (1.0 + abs(z) ** 2)
+        return [(abs(z) ** 2 * s) ** k * s ** (two_j - k) for k in range(two_j + 1)]
+
+    return [float(m.real) for m in integrate_cp1(integrand, two_j, spec)]
+
+
 def sample_fubini_study(n: int, spec: MCSpec) -> np.ndarray:
     """(samples, n+1) array of homogeneous coordinate rows, projectively
     distributed by the normalized invariant measure of CP^n.

@@ -21,7 +21,7 @@ from bellforge import (
     state_distance,
     unitary_transport_identity,
 )
-from bellforge import analysis, bell, coherent
+from bellforge import bell, coherent
 from bellforge.flatmaps import cpn_catalog
 
 W = np.exp(2j * np.pi / 3.0)
@@ -211,8 +211,8 @@ def test_a_spin_past_float_range_is_refused_before_any_node(monkeypatch):
         calls.append(z)
         return coherent.coherent_cp1(two_j, z)
 
+    # fivel_bell and resolution_of_unity_cp1 both reach coherent_cp1 through bell
     monkeypatch.setattr(bell, "coherent_cp1", counting)
-    monkeypatch.setattr(analysis, "coherent_cp1", counting)
     # (1+|z|^2)^80 leaves float range at the outermost node of the default 2j = 160 rule
     with pytest.raises(DomainError):
         fivel_bell(FlatMapId.cp1(1), two_j=160)

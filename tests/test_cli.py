@@ -371,6 +371,7 @@ def test_negative_spin_is_a_usage_error(bellforge):
     [
         ("verify", "measure", "--two-j", "-1"),
         ("verify", "unity", "--two-j", "-1"),
+        ("verify", "moments", "--two-j", "-1"),
         ("bell", "integrate", "--space", "cp1", "--two-j", "1100", "--flat", "cp1:1", "--mc-samples", "10"),
         # the outermost radial node of the 2j = 160 rule leaves float range,
         # which is refused before any node is evaluated

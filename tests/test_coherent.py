@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellforge import DomainError, coherent_cp1, integrate_cp1, su2_generators
+from bellforge import DomainError, MCSpec, coherent_cp1, integrate_cp1, sample_fubini_study
 from bellforge.coherent import (
     _sqrt_binomials,
     binomial_row,
@@ -11,32 +11,6 @@ from bellforge.coherent import (
     level_one_states_from_homogeneous,
     spin_states_from_homogeneous,
 )
-
-
-def test_su2_weight_matrix_spin_half():
-    _, _, j3 = su2_generators(1)
-    assert np.allclose(j3, np.diag([-0.5, 0.5]), atol=1e-15)
-
-
-def test_su2_raising_coefficient_spin_half():
-    jp, _, _ = su2_generators(1)
-    # sqrt((j-m)(j+m+1)) at j=1/2, m=-1/2 is 1
-    assert np.allclose(jp, [[0.0, 0.0], [1.0, 0.0]], atol=1e-15)
-
-
-def test_su2_trivial_representation():
-    jp, jm, j3 = su2_generators(0)
-    for m in (jp, jm, j3):
-        assert m.shape == (1, 1)
-        assert np.allclose(m, 0.0)
-
-
-@pytest.mark.parametrize("two_j", range(0, 21))
-def test_su2_commutators(two_j):
-    jp, jm, j3 = su2_generators(two_j)
-    assert np.max(np.abs(j3 @ jp - jp @ j3 - jp)) < 1e-12
-    assert np.max(np.abs(j3 @ jm - jm @ j3 + jm)) < 1e-12
-    assert np.max(np.abs(jp @ jm - jm @ jp - 2.0 * j3)) < 1e-12
 
 
 def test_coherent_cp1_lowest_weight():
@@ -154,3 +128,33 @@ def test_level_one_states_are_normalized_rows():
     states = level_one_states_from_homogeneous(rows)
     assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-12)
     assert np.allclose(states[0], rows[0] / np.linalg.norm(rows[0]), atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("two_j", [3, 12, 120])
+def test_spin_states_of_rows_past_float_range_are_finite(two_j):
+    rows = sample_fubini_study(1, MCSpec(samples=50, seed=8))
+    k = np.arange(two_j + 1)
+    amps = np.sqrt(binomial_row(two_j)) * rows[:, [0]] ** (two_j - k) * rows[:, [1]] ** k
+    expected = amps / (np.sum(np.abs(rows) ** 2, axis=1) ** (two_j / 2.0))[:, None]
+    scales = (1e-30, 1e30, 1e-200, 1e200)
+    mixed = np.concatenate([rows] + [rows[:5] * c for c in scales])
+    states = spin_states_from_homogeneous(two_j, mixed)
+    # rows inside float range keep the bits of the direct formula, which
+    # rescaling them would change at 2j = 120
+    assert np.array_equal(states[:50], expected)
+    # a positive scale keeps the point and its phase
+    assert np.max(np.abs(states[50:] - np.concatenate([expected[:5]] * len(scales)))) < 1e-12
+
+
+@pytest.mark.parametrize("two_j", [0, 12])
+@pytest.mark.parametrize("row", [[0.0, 0.0], [np.nan, 1.0], [1.0, np.inf]], ids=["zero", "nan", "inf"])
+def test_spin_states_refuse_rows_that_are_not_points(two_j, row):
+    with pytest.raises(DomainError):
+        spin_states_from_homogeneous(two_j, [[1.0, 0.5], row])
+
+
+def test_spin_states_refuse_a_state_that_stays_past_float_range():
+    # scaled or not, (1 + |z|^2)^j leaves float range here
+    with pytest.raises(DomainError):
+        spin_states_from_homogeneous(1029, [[0.999 + 0.999j, 0.999 + 0.999j]])

@@ -7,19 +7,21 @@ from bellforge import (
     DimensionMismatchError,
     EmptyFamilyError,
     FlatMapId,
-    HomogeneousPoint,
     UnknownFlatMapError,
     coherent_cp1,
-    flat_point,
     flat_projector,
     flat_state,
     global_unitary,
     projector_consistency,
-    projector_distance,
     projector_of,
     verify_antimap,
 )
-from bellforge.coherent import level_one_states_from_homogeneous, spin_states_from_homogeneous
+from bellforge import flatmaps
+from bellforge.coherent import (
+    coherent_states,
+    level_one_states_from_homogeneous,
+    spin_states_from_homogeneous,
+)
 from bellforge.flatmaps import _chunk_rows, cp1_catalog, cpn_catalog
 from bellforge.quadrature import MCSpec, sample_fubini_study
 
@@ -171,37 +173,46 @@ def test_flat_state_dimension_check():
 # --- point maps -------------------------------------------------------------
 
 
-def test_flat_point_inversion_on_chart():
-    image = flat_point(FlatMapId.cp1(3), HomogeneousPoint([1.0, 2.0]))
-    assert image == HomogeneousPoint([2.0, 1.0])  # z = 2 -> 1/2
+def same_point(a, b) -> bool:
+    """Rows a and b of homogeneous coordinates are one point: the projectors
+    of their unit vectors agree to 1e-12."""
+    a, b = (np.asarray(row, dtype=complex) for row in (a, b))
+    if a.shape != b.shape:
+        return False
+    pa, pb = (projector_of(row / np.linalg.norm(row)) for row in (a, b))
+    return np.linalg.norm(pa - pb) <= 1e-12
 
 
-def test_flat_point_chart_boundary():
-    image = flat_point(FlatMapId.cp1(3), HomogeneousPoint([1.0, 0.0]))
-    assert image == HomogeneousPoint([0.0, 1.0])
+def test_flat_state_inversion_on_chart():
+    image = flat_state(FlatMapId.cp1(3), np.array([1.0, 2.0]))
+    assert same_point(image, [2.0, 1.0])  # z = 2 -> 1/2
 
 
-def test_flat_point_cp2_chart_formula():
+def test_flat_state_chart_boundary():
+    image = flat_state(FlatMapId.cp1(3), np.array([1.0, 0.0]))
+    assert same_point(image, [0.0, 1.0])
+
+
+def test_flat_state_cp2_chart_formula():
     z1, z2 = 0.4 + 0.9j, -1.1 + 0.3j
-    image = flat_point(FlatMapId.cpn(2, 0, 1), HomogeneousPoint([1.0, z1, z2]))
-    local = image.coords[1:] / image.coords[0]
+    image = flat_state(FlatMapId.cpn(2, 0, 1), np.array([1.0, z1, z2]))
+    local = image[1:] / image[0]
     expected = [1.0 / np.conj(z2), np.conj(z1) / np.conj(z2)]
     assert np.max(np.abs(local - expected)) < 1e-12
 
 
-def test_flat_point_involution_or_shift_square():
+def test_flat_state_involution_or_shift_square():
     rng = np.random.default_rng(24)
     for flat, _ in all_catalog_ids():
         dim = 2 if flat.space == "cp1" else flat.n + 1
         coords = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        point = HomogeneousPoint(coords)
-        twice = flat_point(flat, flat_point(flat, point))
+        twice = flat_state(flat, flat_state(flat, coords))
         u = global_unitary(flat, dim)
         composition = u @ u.conj()  # the point map of applying the twist twice
-        assert twice == HomogeneousPoint(composition @ coords)
+        assert same_point(twice, composition @ coords)
         if flat.space == "cp1" or flat.q == 0:
             # composition is proportional to the identity: a true involution
-            assert twice == point
+            assert same_point(twice, coords)
 
 
 # --- projector action -------------------------------------------------------
@@ -244,7 +255,7 @@ def test_state_and_projector_actions_agree():
         for v in states:
             lhs = projector_of(flat_state(flat, v))
             rhs = flat_projector(flat, projector_of(v))
-            assert projector_distance(lhs, rhs) < 1e-12
+            assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
 def test_projector_consistency_is_the_worst_point_and_keeps_nan():
@@ -341,6 +352,27 @@ def test_antimap_identity_whole_catalog():
         rows_b = sample_fubini_study(n, MCSpec(samples=300, seed=202))
         pairs = list(zip(rows_a, rows_b))
         assert verify_antimap(flat, pairs, two_j=two_j or 1) < 1e-12
+
+
+@pytest.mark.parametrize("flat, two_j", [(FlatMapId.cp1(3), 4), (FlatMapId.cpn(3, 1, 2), 1)], ids=str)
+def test_antimap_residual_sees_a_wrong_unitary(flat, two_j, monkeypatch):
+    # with 2U in place of U, <Z^b|W^b> = 4 <W|Z>, so the residual is 3 max|<W|Z>|
+    n = 1 if flat.space == "cp1" else flat.n
+    rows = sample_fubini_study(n, MCSpec(samples=40, seed=5))
+    z_rows, w_rows = rows[:20], rows[20:]
+    z = coherent_states(flat.space, z_rows, two_j)
+    w = coherent_states(flat.space, w_rows, two_j)
+    expected = 3.0 * np.max(np.abs(np.sum(w.conj() * z, axis=1)))
+    assert expected < 2.99  # a residual that paired each point with itself would read 3
+    unitary = flatmaps.global_unitary
+    monkeypatch.setattr(flatmaps, "global_unitary", lambda flat, dim: 2.0 * unitary(flat, dim))
+    residual = verify_antimap(flat, list(zip(z_rows, w_rows)), two_j=two_j)
+    assert residual == pytest.approx(expected, rel=1e-12)
+
+
+def test_antimap_holds_for_rows_past_float_range():
+    residual = verify_antimap(FlatMapId.cp1(1), [([1e-30, 1e-30], [1.0, 0.5])], two_j=12)
+    assert residual <= 1e-12  # False for NaN
 
 
 def test_antimap_rejects_an_empty_pair_list():

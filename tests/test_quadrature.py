@@ -13,6 +13,7 @@ from bellforge import (
     integrate_cp1,
     integrate_cp2,
     moment_cp1,
+    moments_cp1,
     sample_fubini_study,
     total_measure_cp1,
 )
@@ -167,6 +168,18 @@ def test_moment_domain_errors():
         moment_cp1(2, 3)
     with pytest.raises(DomainError):
         moment_cp1(2, -1)
+
+
+@pytest.mark.parametrize("two_j", [0, 6, 10])
+def test_moments_in_one_pass_equal_moment_cp1_bit_for_bit(two_j):
+    assert moments_cp1(two_j) == [moment_cp1(two_j, k) for k in range(two_j + 1)]
+    spec = QuadratureSpecCP1(radial_nodes=3, angular_nodes=5)
+    assert moments_cp1(two_j, spec) == [moment_cp1(two_j, k, spec) for k in range(two_j + 1)]
+
+
+def test_moments_in_one_pass_refuse_a_negative_spin():
+    with pytest.raises(DomainError):
+        moments_cp1(-1)
 
 
 @pytest.mark.parametrize("radial_nodes", [3, 30, 149, 150])
