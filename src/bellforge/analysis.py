@@ -66,8 +66,8 @@ def resolution_of_unity_cp2(spec: QuadratureSpecCP2 | None = None) -> float:
 def resolution_of_unity_mc(n: int, spec: MCSpec | QuadratureSpecCP2) -> float:
     """Frame-operator deviation on CP^n (level-one states) over the Monte
     Carlo draw of an MCSpec, or over the rule of a QuadratureSpecCP2."""
-    states, weights = _weighted_states("cpn", n + 1, spec)
-    frame = weights * states.T @ states.conj()
+    weighted, conj = _weighted_states("cpn", n + 1, spec)
+    frame = weighted @ conj
     return float(np.linalg.norm(frame - np.eye(n + 1)))
 
 

@@ -110,20 +110,36 @@ def _dim_for(flat: FlatMapId, two_j: int | None) -> int:
     return flat.n + 1
 
 
-# ((space, dim, spec), read-only states) of the most recent Monte Carlo draw
+# ((space, dim, spec), (weighted, conj)) of the most recent Monte Carlo draw
 _last_draw = None
 
 
-def _mc_states(space: str, dim: int, spec: MCSpec) -> np.ndarray:
-    """Coherent states at the sample rows of spec, one row per sample: spin
-    (dim-1)/2 states on CP^1 for space "cp1", level-one states on CP^(dim-1)
-    for "cpn".
+def _contraction_operands(states: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only operands (weights * states.T, states.conj()) of the
+    weighted contraction: with one state per row, weighted @ (conj @ U.T) is
+    sum_k w_k |Z_k> (x) U conj|Z_k>, and weighted @ conj the frame operator."""
+    weighted = weights * states.T
+    conj = states.conj()
+    weighted.flags.writeable = conj.flags.writeable = False
+    return weighted, conj
 
-    The states of the most recent draw stay in one module-level entry, so
-    every map of a catalog run over one spec pays for one draw and one
-    normalization. The entry is read-only and is released before the next
+
+def _weighted_states(space: str, dim: int, spec: QuadratureSpecCP2 | MCSpec):
+    """Contraction operands (weighted, conj) of points whose weights have
+    total mass dim: the rule on CP^(dim-1), built afresh on each call, or the
+    coherent states at the sample rows of an MCSpec at weight dim/samples,
+    spin (dim-1)/2 states on CP^1 for space "cp1" and level-one states on
+    CP^(dim-1) for "cpn".
+
+    The operands of the most recent draw stay in one module-level entry, so
+    every map of a catalog run over one spec pays for one draw, one
+    normalization and no pass over the samples besides its two matrix
+    products. The entry is read-only and is released before the next
     different draw, so one caller never holds two draws at once.
     """
+    if not isinstance(spec, MCSpec):
+        rows, weights = cpn_rule(dim - 1, spec)
+        return _contraction_operands(coherent_states("cpn", rows), weights)
     global _last_draw
     key = (space, dim, spec)
     entry = _last_draw  # read once: another thread may replace the entry meanwhile
@@ -132,18 +148,9 @@ def _mc_states(space: str, dim: int, spec: MCSpec) -> np.ndarray:
     _last_draw = entry = None
     n = 1 if space == "cp1" else dim - 1
     states = coherent_states(space, sample_fubini_study(n, spec), dim - 1)
-    states.flags.writeable = False
-    _last_draw = (key, states)
-    return states
-
-
-def _weighted_states(space: str, dim: int, spec: QuadratureSpecCP2 | MCSpec):
-    """(states, weights) whose weighted sums integrate with total mass dim:
-    the Monte Carlo draw at weight dim/samples, or the rule on CP^(dim-1)."""
-    if isinstance(spec, MCSpec):
-        return _mc_states(space, dim, spec), dim / spec.samples
-    rows, weights = cpn_rule(dim - 1, spec)
-    return coherent_states("cpn", rows), weights
+    operands = _contraction_operands(states, dim / spec.samples)
+    _last_draw = (key, operands)
+    return operands
 
 
 def _cp1_integral(two_j: int, spec: QuadratureSpecCP1, term):
@@ -166,6 +173,8 @@ def fivel_bell(
     before the first node when one lies outside the range of coherent_cp1; a
     cpn id of any n takes the QuadratureSpecCP2 rule of cpn_rule. Either takes
     an MCSpec, and consecutive Monte Carlo calls with one spec share one draw.
+    Off cp1 quadrature the integral is two matrix products over the points,
+    weighted @ (conj @ U.T), with the operands of _weighted_states.
     Returns the state and the norm residual abs(norm - 1).
     """
     dim = _dim_for(flat, two_j)
@@ -181,10 +190,9 @@ def fivel_bell(
         amps = _cp1_integral(two_j, spec, lambda psi: np.outer(psi, u @ psi.conj()).reshape(-1))
         amps = amps / np.sqrt(dim)
     else:
-        states, weights = _weighted_states(flat.space, dim, spec)
-        twisted = states.conj() @ u.T
+        weighted, conj = _weighted_states(flat.space, dim, spec)
         # sum of weight |Z>(x)|Z^b> over the points, of total mass dim V
-        amps = (weights * states.T @ twisted).reshape(-1) / np.sqrt(dim)
+        amps = (weighted @ (conj @ u.T)).reshape(-1) / np.sqrt(dim)
     state = BipartiteState(dim, dim, amps)
     return state, abs(state.norm() - 1.0)
 

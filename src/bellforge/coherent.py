@@ -73,28 +73,40 @@ def spin_states_from_homogeneous(two_j: int, zetas: np.ndarray) -> np.ndarray:
     phase fixed differently; use only where a global phase cancels.
 
     A row whose powers leave float range, such as (1e-30, 1e-30j) at 2j = 12,
-    is evaluated again from its coordinates scaled by an exact power of two;
-    other rows are left untouched. Rows that are all zero or not finite, and
-    states that stay out of range even so, are refused with DomainError.
+    so that its state is not finite or is zero, is evaluated again from the
+    unit row at the same point and phase; other rows are left untouched.
+    Every finite nonzero row then has a finite state for each 2j that
+    binomial_row accepts. Rows that are all zero or not finite are refused
+    with DomainError.
     """
     z = np.asarray(zetas, dtype=complex).reshape(-1, 2)
-    if not (np.isfinite(z).all() and z.any(axis=1).all()):
-        raise DomainError("homogeneous coordinates must be finite and not all zero")
+    _check_points(z)
     states = _spin_rows(two_j, z)
-    bad = ~np.isfinite(states).all(axis=1)
+    bad = ~(np.isfinite(states).all(axis=1) & states.any(axis=1))
     if bad.any():
-        rows = z[bad]
-        # 2^-e with e the exponent of the largest real or imaginary part
-        _, e = np.frexp(np.maximum(abs(rows.real), abs(rows.imag)).max(axis=1))
-        scaled = np.ldexp(rows.real, -e[:, None]) + 1j * np.ldexp(rows.imag, -e[:, None])
-        states[bad] = _spin_rows(two_j, scaled)
-        if not np.isfinite(states[bad]).all():
-            raise DomainError(f"a spin state leaves float range at 2j = {two_j}")
+        states[bad] = _spin_rows(two_j, _unit_rows(z[bad]))
     return states
 
 
+def _check_points(z: np.ndarray) -> None:
+    """Refuse rows of homogeneous coordinates that are not finite or all zero."""
+    if not (np.isfinite(z).all() and z.any(axis=1).all()):
+        raise DomainError("homogeneous coordinates must be finite and not all zero")
+
+
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    """Finite nonzero rows divided by their norms, which are taken from the
+    rows scaled by exact powers of two so that they neither overflow nor
+    underflow."""
+    # scaled so that the largest real or imaginary part, whose exponent
+    # cannot overflow, lies in [0.5, 1)
+    _, e = np.frexp(np.maximum(abs(z.real), abs(z.imag)).max(axis=1))
+    z = np.ldexp(z.real, -e[:, None]) + 1j * np.ldexp(z.imag, -e[:, None])
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 def _spin_rows(two_j: int, z: np.ndarray) -> np.ndarray:
-    """The states of spin_states_from_homogeneous, not finite where a power leaves float range."""
+    """The states of spin_states_from_homogeneous, not finite or zero where a power leaves float range."""
     k = np.arange(two_j + 1)
     with np.errstate(all="ignore"):
         amps = _sqrt_binomials(two_j)[None, :] * z[:, [0]] ** (two_j - k) * z[:, [1]] ** k
@@ -103,9 +115,24 @@ def _spin_rows(two_j: int, z: np.ndarray) -> np.ndarray:
 
 
 def level_one_states_from_homogeneous(zetas: np.ndarray) -> np.ndarray:
-    """Normalized rows of homogeneous CP^n coordinates (level-one states)."""
+    """Normalized rows of homogeneous CP^n coordinates (level-one states).
+
+    A row whose norm leaves float range or loses precision, such as
+    (1e200, 0, 0) or (1e-160, 3e-161, 0), is normalized from the row scaled
+    by an exact power of two; rows that are all zero or
+    not finite are refused with DomainError.
+    """
     z = np.asarray(zetas, dtype=complex)
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+    # a norm below 2^-511 comes from a subnormal, inexact sum of squares
+    bad = ~(np.isfinite(norms[:, 0]) & (norms[:, 0] >= 2.0**-511))
+    if bad.any():
+        _check_points(z[bad])
+        z = z.copy()
+        z[bad] = _unit_rows(z[bad])
+        norms[bad] = 1.0
+    return z / norms
 
 
 def coherent_states(space: str, rows, two_j: int = 1) -> np.ndarray:

@@ -154,7 +154,49 @@ def test_spin_states_refuse_rows_that_are_not_points(two_j, row):
         spin_states_from_homogeneous(two_j, [[1.0, 0.5], row])
 
 
-def test_spin_states_refuse_a_state_that_stays_past_float_range():
-    # scaled or not, (1 + |z|^2)^j leaves float range here
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spin_states_reach_a_point_near_the_top_of_the_spin_range():
+    # largest real and imaginary parts in [0.5, 1) would leave sum |zeta|^2
+    # near 4, and 4^j overflows from 2j = 1024
+    state = spin_states_from_homogeneous(1029, [[0.999 + 0.999j, 0.999 + 0.999j]])[0]
+    assert np.isfinite(state).all()
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(coherent_cp1(1029, 1.0), state)) - 1.0) < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("two_j", [0, 1, 12, 1029])
+@pytest.mark.parametrize(
+    "row",
+    [[1.7e308 + 1.7e308j, 1.7e308], [0.5, 0.0], [5e-324, 0.0], [1e-320, 1e300]],
+    ids=["huge", "half", "subnormal", "mixed"],
+)
+def test_spin_states_of_finite_nonzero_rows_are_unit_vectors(two_j, row):
+    # a state whose norm overflowed came out zero, and one whose norm was
+    # subnormal came out infinite
+    state = spin_states_from_homogeneous(two_j, [row])[0]
+    assert np.isfinite(state).all()
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_level_one_states_of_rows_past_float_range_are_unit_vectors():
+    # the norm of the fourth row was off by 4e-5 from a subnormal sum of squares
+    huge = 1.7e308
+    rows = np.array(
+        [[1e200, 0, 0], [1e-200, 1e-200j, 0], [huge * (1 + 1j), huge, huge], [1e-160, 3e-161, 0], [1, 2, 3]]
+    )
+    states = level_one_states_from_homogeneous(rows)
+    half = 0.5**0.5
+    expected = [[1, 0, 0], [half, half * 1j, 0], [0.5 + 0.5j, 0.5, 0.5], [1 / 1.09**0.5, 0.3 / 1.09**0.5, 0]]
+    assert np.max(np.abs(states[:4] - expected)) < 1e-15
+    # rows inside float range keep the bits of the direct formula
+    assert np.array_equal(states[4], rows[4] / np.linalg.norm(rows[4]))
+
+
+@pytest.mark.parametrize(
+    "row", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [1.0, np.inf, 0.0]], ids=["zero", "nan", "inf"]
+)
+def test_level_one_states_refuse_rows_that_are_not_points(row):
     with pytest.raises(DomainError):
-        spin_states_from_homogeneous(1029, [[0.999 + 0.999j, 0.999 + 0.999j]])
+        level_one_states_from_homogeneous([[1.0, 0.5, 0.0], row])

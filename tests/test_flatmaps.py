@@ -5,6 +5,7 @@ import pytest
 
 from bellforge import (
     DimensionMismatchError,
+    DomainError,
     EmptyFamilyError,
     FlatMapId,
     UnknownFlatMapError,
@@ -373,6 +374,12 @@ def test_antimap_residual_sees_a_wrong_unitary(flat, two_j, monkeypatch):
 def test_antimap_holds_for_rows_past_float_range():
     residual = verify_antimap(FlatMapId.cp1(1), [([1e-30, 1e-30], [1.0, 0.5])], two_j=12)
     assert residual <= 1e-12  # False for NaN
+
+
+def test_antimap_refuses_a_zero_level_one_row():
+    # the zero row was divided by its zero norm into a nan residual
+    with pytest.raises(DomainError):
+        verify_antimap(FlatMapId.cpn(2, 0, 1), [([0, 0, 0], [1, 0, 0])])
 
 
 def test_antimap_rejects_an_empty_pair_list():

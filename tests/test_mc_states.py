@@ -1,5 +1,5 @@
-"""Monte Carlo output, pinned bit for bit, and the entry that keeps the states
-of the most recent draw."""
+"""Monte Carlo output, pinned bit for bit, and the entry that keeps the
+contraction operands of the most recent draw."""
 
 import hashlib
 import struct
@@ -87,9 +87,18 @@ def test_cached_states_equal_a_fresh_draw(draws):
     level_one = level_one_states_from_homogeneous(sample_fubini_study(3, SPEC_A))
     spin = spin_states_from_homogeneous(5, sample_fubini_study(1, SPEC_A))
     for _ in range(2):
-        assert np.array_equal(bell._mc_states("cpn", 4, SPEC_A), level_one)
-        assert np.array_equal(bell._mc_states("cp1", 6, SPEC_A), spin)
+        for space, states in (("cpn", level_one), ("cp1", spin)):
+            dim = states.shape[1]
+            weighted, conj = bell._weighted_states(space, dim, SPEC_A)
+            assert weighted.tobytes("A") == ((dim / SPEC_A.samples) * states.T).tobytes("A")
+            assert conj.tobytes() == states.conj().tobytes()
     assert len(draws) == 4
+
+
+def test_the_operands_take_two_complex_arrays_of_the_samples(draws):
+    # the README figure: 2 x samples x dim x 16 bytes, 128 MB at 1,000,000 samples on CP^3
+    operands = bell._weighted_states("cpn", 4, SPEC_A)
+    assert sum(a.nbytes for a in operands) == 2 * SPEC_A.samples * 4 * 16
 
 
 def test_a_change_of_seed_samples_spin_or_space_is_a_miss(draws):
@@ -113,25 +122,27 @@ def test_a_change_of_seed_samples_spin_or_space_is_a_miss(draws):
 def test_the_previous_entry_is_released_before_the_next_draw(monkeypatch):
     monkeypatch.setattr(bell, "_last_draw", None)
     fivel_bell(FlatMapId.cpn(2, 0, 0), SPEC_A)
-    previous = weakref.ref(bell._last_draw[1])
+    previous = [weakref.ref(operand) for operand in bell._last_draw[1]]
     alive_at_draw = []
     original = bell.sample_fubini_study
 
     def sampler(n, spec):
-        alive_at_draw.append(previous() is not None)
+        alive_at_draw.append([ref() is not None for ref in previous])
         return original(n, spec)
 
     monkeypatch.setattr(bell, "sample_fubini_study", sampler)
     fivel_bell(FlatMapId.cpn(2, 0, 0), SPEC_B)
-    assert alive_at_draw == [False]
+    assert alive_at_draw == [[False, False]]
 
 
 def test_the_cached_states_are_read_only(draws):
-    states = bell._mc_states("cpn", 3, SPEC_A)
-    assert not states.flags.writeable
-    with pytest.raises(ValueError):
-        states[0, 0] = 0.0
-    assert bell._mc_states("cpn", 3, SPEC_A) is states
+    operands = bell._weighted_states("cpn", 3, SPEC_A)
+    for operand in operands:
+        assert not operand.flags.writeable
+        with pytest.raises(ValueError):
+            operand[0, 0] = 0.0
+    again = bell._weighted_states("cpn", 3, SPEC_A)
+    assert all(a is b for a, b in zip(again, operands, strict=True))
 
 
 def test_threads_sharing_the_entry_get_the_states_of_their_own_spec(monkeypatch):
