@@ -11,7 +11,11 @@ for degree <= 2m-1 per axis after the map's Jacobian; uniform angular grids of
 K points annihilate every mode e^(i m theta) with 0 < |m| < K exactly.
 `cpn_rule` returns the rule as rows and weights; `integrate_cp1` and
 `integrate_cp2` stream it through a callback in a fixed order, so results are
-reproducible bit for bit.
+reproducible bit for bit. That loop builds the angular phases once per rule
+and accumulates in place, allocating no array of its own per node (see
+`_integrate`). Every rule is refused before any table is built when it has
+more than MAX_RULE_ROWS nodes or more than MAX_GAUSS_ORDER Gauss-Legendre
+nodes per simplex axis.
 
 Monte Carlo sampling draws unnormalized homogeneous coordinates as standard
 complex Gaussians, zeta = sqrt(-log(1-u1)) exp(2 pi i u2), the polar Box-Muller
@@ -30,7 +34,8 @@ import numpy as np
 from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
-MAX_RULE_ROWS = 1 << 20  # the largest rule cpn_rule builds: 80 MiB of rows on CP^4
+MAX_RULE_ROWS = 1 << 20  # the largest rule: 80 MiB of rows on CP^4 in cpn_rule
+MAX_GAUSS_ORDER = 1024  # leggauss builds an m x m companion matrix: 8 MiB at m = 1024
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,16 @@ class MCSpec:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
 
+def _check_rule(n: int, simplex_nodes: int, angular_nodes: int) -> None:
+    """Refuse, before any table is built, a rule on CP^n of more than
+    MAX_RULE_ROWS nodes or with more than MAX_GAUSS_ORDER nodes per simplex axis."""
+    m, k = simplex_nodes, angular_nodes
+    if (m * k) ** n > MAX_RULE_ROWS:
+        raise DomainError(f"the rule on CP^{n} has ({m} x {k})^{n} nodes, more than {MAX_RULE_ROWS}")
+    if m > MAX_GAUSS_ORDER:
+        raise DomainError(f"{m} Gauss-Legendre nodes per axis, more than {MAX_GAUSS_ORDER}")
+
+
 def gauss_legendre_01(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(m)
@@ -90,29 +105,58 @@ def _simplex_points(n: int, m: int):
         yield [rest, *t], math.prod(w[i] for i in index) * jacobian
 
 
-def _torus_points(n: int, k: int):
-    """The k^n phase tuples (e^(i theta_1), .., e^(i theta_n)), last fastest."""
-    return itertools.product(np.exp(1j * (TWO_PI * np.arange(k) / k)).tolist(), repeat=n)
+def _torus_points(k: int) -> list[complex]:
+    """The k phases e^(i theta) of the uniform angular grid, as Python complex numbers."""
+    return np.exp(1j * (TWO_PI * np.arange(k) / k)).tolist()
 
 
 def _chart_points(n: int, simplex_points, angular_nodes: int):
-    """([z_1, .., z_n], raw weight) for each simplex point times each torus
-    point, in that order, at z_i = sqrt(t_i/t_0) e^(i theta_i)."""
+    """(z_1, .., z_n) and raw weight for each simplex point times each torus
+    point (last angle fastest), in that order, at z_i = sqrt(t_i/t_0) e^(i theta_i)."""
+    phases = _torus_points(angular_nodes)
     for t, weight in simplex_points:
         radii = [math.sqrt(ti / t[0]) for ti in t[1:]]
-        for angles in _torus_points(n, angular_nodes):
-            yield [r * a for r, a in zip(radii, angles)], weight
+        if n == 1:
+            r = radii[0]
+            for a in phases:
+                yield (r * a,), weight
+        else:
+            for angles in itertools.product(phases, repeat=n):
+                yield [r * a for r, a in zip(radii, angles)], weight
+
+
+_SCALARS = (int, float, complex, np.number)
 
 
 def _integrate(f, n: int, simplex_nodes: int, angular_nodes: int, mass: float):
     """The rule on CP^n for total mass `mass`, with f called at each chart
-    point in turn."""
-    total = None
+    point in turn.
+
+    Each value is multiplied by its weight and added to the total in node
+    order, with the IEEE operations of total = total + value * weight: a
+    scalar value as a Python complex number, an array value into one scratch
+    buffer and then into one accumulator, in place. The array f returns is
+    only read; scalar and array values mixed broadcast as numpy does.
+    """
+    _check_rule(n, simplex_nodes, angular_nodes)
+    total = scratch = None
     for z, weight in _chart_points(n, _simplex_points(n, simplex_nodes), angular_nodes):
-        value = np.asarray(f(*z), dtype=complex) * weight
-        total = value if total is None else total + value
+        value = f(*z)
+        if isinstance(value, _SCALARS):
+            value = complex(value) * weight
+        else:
+            value = np.asarray(value, dtype=complex)
+            if scratch is None or scratch.shape != value.shape:
+                scratch = np.empty_like(value)
+            value = np.multiply(value, weight, out=scratch)
+        if total is None:
+            total = value.copy() if value is scratch else value
+        elif value is scratch and isinstance(total, np.ndarray) and total.shape == value.shape:
+            np.add(total, value, out=total)
+        else:
+            total = total + value
     total = total * (mass / angular_nodes**n)
-    return total.item() if total.ndim == 0 else total
+    return total if isinstance(total, np.ndarray) and total.ndim else complex(total)
 
 
 def integrate_cp1(f, two_j: int, spec: QuadratureSpecCP1 | None = None):
@@ -132,6 +176,7 @@ def integrate_cp1(f, two_j: int, spec: QuadratureSpecCP1 | None = None):
 def cp1_outermost_points(spec: QuadratureSpecCP1) -> list[complex]:
     """The chart points z at the last radial node of spec, where integrate_cp1
     reaches its largest |z|, exactly as it passes them to f."""
+    _check_rule(1, spec.radial_nodes, spec.angular_nodes)
     outermost = list(_simplex_points(1, spec.radial_nodes))[-1:]
     return [z for (z,), _ in _chart_points(1, outermost, spec.angular_nodes)]
 
@@ -150,14 +195,14 @@ def integrate_cp2(f, spec: QuadratureSpecCP2 | None = None):
 def cpn_rule(n: int, spec: QuadratureSpecCP2) -> tuple[np.ndarray, np.ndarray]:
     """Unit rows (sqrt t_0, sqrt t_1 e^(i theta_1), .., sqrt t_n e^(i theta_n))
     of the rule on CP^n, in the order integrate_cp2 visits them, and weights
-    summing to the level-one mass n+1; refused past MAX_RULE_ROWS rows."""
+    summing to the level-one mass n+1; refused past MAX_RULE_ROWS rows or
+    MAX_GAUSS_ORDER nodes per simplex axis."""
     if n < 1:
         raise DomainError("n must be at least 1")
     m, k = spec.simplex_nodes, spec.angular_nodes
-    if (m * k) ** n > MAX_RULE_ROWS:
-        raise DomainError(f"the rule on CP^{n} has {(m * k) ** n} rows, more than {MAX_RULE_ROWS}")
+    _check_rule(n, m, k)
     t, weights = map(np.array, zip(*_simplex_points(n, m)))
-    angles = np.array([(1.0, *a) for a in _torus_points(n, k)])
+    angles = np.array([(1.0, *a) for a in itertools.product(_torus_points(k), repeat=n)])
     rows = (np.sqrt(t)[:, None, :] * angles[None, :, :]).reshape(-1, n + 1)
     return rows, np.repeat(weights * ((n + 1) * math.factorial(n) / k**n), k**n)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellforge import cli, closed_form_bell_cp1, closed_form_bell_cp2, generalized_bell
+from bellforge import cli, closed_form_bell_cp1, closed_form_bell_cp2, generalized_bell, quadrature
 
 S2 = 1.0 / math.sqrt(2.0)
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
@@ -246,6 +246,19 @@ def test_verify_stdout_is_the_same_for_one_and_two_blas_threads(argv):
     _same_stdout_for_one_and_two_blas_threads(*argv)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bell", "integrate", "--space", "cp1", "--two-j", "33", "--flat", "cp1:3"),
+        ("verify", "moments", "--two-j", "40"),
+    ],
+    ids=["cp1", "moments"],
+)
+def test_cp1_quadrature_stdout_is_the_same_for_one_and_two_blas_threads(argv):
+    # the cp1 twist multiplies each node's state by U, which may go through BLAS
+    _same_stdout_for_one_and_two_blas_threads(*argv)
+
+
 def test_verify_all_passes():
     result = run_cli("verify", "all", "--seed", "5")
     assert result.returncode == 0
@@ -382,6 +395,32 @@ def test_negative_spin_is_a_usage_error(bellforge):
     ],
 )
 def test_spin_outside_the_supported_range_is_a_usage_error(argv, bellforge):
+    code, out, err = bellforge(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the default cp1 rule at 2j = 100000 has 100002 x 200003 nodes
+        ("verify", "measure", "--two-j", "100000"),
+        ("verify", "moments", "--two-j", "100000"),
+        # few rows, but more Gauss-Legendre nodes than MAX_GAUSS_ORDER
+        ("verify", "unity", "--space", "cp1", "--two-j", "1", "--radial-nodes", "100000", "--angular-nodes", "1"),
+        (
+            "bell", "integrate", "--space", "cpn", "--n", "2", "--p", "0", "--q", "0",
+            "--simplex-nodes", "1000000", "--angular-nodes", "1",
+        ),
+        ("verify", "unity", "--space", "cp1", "--two-j", "1", "--radial-nodes", "1", "--angular-nodes", "1000000000"),
+    ],
+)
+def test_oversized_rules_are_refused_before_any_table_is_built(argv, bellforge, monkeypatch):
+    def build(*args):
+        pytest.fail(f"a rule table was built for {args}")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", build)
+    monkeypatch.setattr(quadrature, "_torus_points", build)
     code, out, err = bellforge(*argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")

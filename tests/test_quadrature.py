@@ -18,7 +18,7 @@ from bellforge import (
     total_measure_cp1,
 )
 from bellforge.coherent import check_spin_range, coherent_cp1
-from bellforge.quadrature import cp1_outermost_points
+from bellforge.quadrature import MAX_GAUSS_ORDER, cp1_outermost_points
 
 
 def test_gauss_legendre_01_exactness():
@@ -147,6 +147,59 @@ def test_cpn_rule_refuses_more_than_2_to_the_20_rows():
     for n, spec in [*too_big, (0, QuadratureSpecCP2())]:
         with pytest.raises(DomainError):
             cpn_rule(n, spec)
+
+
+class TableBuilt(Exception):
+    """Raised in place of building a Gauss-Legendre table: the rule was accepted."""
+
+
+@pytest.fixture
+def accepted(monkeypatch):
+    """Make an accepted rule raise TableBuilt instead of building its tables."""
+
+    def build(m):
+        raise TableBuilt(m)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", build)
+    return TableBuilt
+
+
+def test_default_cp1_rules_are_refused_from_2j_723_on(accepted):
+    # 724 x 1447 nodes fit in MAX_RULE_ROWS; 725 x 1449 do not
+    with pytest.raises(accepted):
+        total_measure_cp1(722)
+    for two_j in (723, 100_000):
+        with pytest.raises(DomainError):
+            total_measure_cp1(two_j)
+        with pytest.raises(DomainError):
+            cp1_outermost_points(QuadratureSpecCP1.for_spin(two_j))
+
+
+def test_rules_of_more_gauss_legendre_nodes_than_the_bound_are_refused(accepted):
+    largest, too_many = (QuadratureSpecCP1(m, 1) for m in (MAX_GAUSS_ORDER, MAX_GAUSS_ORDER + 1))
+    with pytest.raises(accepted):
+        integrate_cp1(lambda z: 1.0, 0, largest)
+    with pytest.raises(accepted):
+        cp1_outermost_points(largest)
+    with pytest.raises(accepted):
+        cpn_rule(1, QuadratureSpecCP2(MAX_GAUSS_ORDER, 1))
+    for call in (
+        lambda: integrate_cp1(lambda z: 1.0, 0, too_many),
+        lambda: cp1_outermost_points(too_many),
+        lambda: cpn_rule(1, QuadratureSpecCP2(MAX_GAUSS_ORDER + 1, 1)),
+        # 1025^2 nodes on CP^2, past MAX_RULE_ROWS
+        lambda: integrate_cp2(lambda z1, z2: 1.0, QuadratureSpecCP2(1, 1025)),
+    ):
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_the_largest_default_rules_in_use_are_accepted(accepted):
+    # 2j = 160, the largest spin `verify moments` is checked at, and the
+    # 2j = 96 moment probe
+    for two_j in (160, 96):
+        with pytest.raises(accepted):
+            moments_cp1(two_j)
 
 
 @pytest.mark.parametrize("two_j", range(0, 11))
