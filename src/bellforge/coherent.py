@@ -39,14 +39,6 @@ def _sqrt_binomials(two_j: int) -> np.ndarray:
     return row
 
 
-@functools.lru_cache(maxsize=32)
-def _exponents(two_j: int) -> np.ndarray:
-    """The exponents k = 0..2j, read-only and kept for the 32 most recent spins."""
-    row = np.arange(two_j + 1)
-    row.flags.writeable = False
-    return row
-
-
 def coherent_cp1(two_j: int, z: complex) -> np.ndarray:
     """Spin-j coherent state at the chart coordinate z; refused where
     (1+|z|^2)^j leaves float range."""
@@ -54,7 +46,8 @@ def coherent_cp1(two_j: int, z: complex) -> np.ndarray:
         raise DomainError("two_j must be nonnegative")
     z = complex(z)
     norm = _spin_norm(two_j, z)
-    return _sqrt_binomials(two_j) * z ** _exponents(two_j) / norm
+    k = np.arange(two_j + 1)
+    return _sqrt_binomials(two_j) * z**k / norm
 
 
 def _spin_norm(two_j: int, z: complex) -> float:

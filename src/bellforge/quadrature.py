@@ -110,19 +110,14 @@ def _torus_points(k: int) -> list[complex]:
     return np.exp(1j * (TWO_PI * np.arange(k) / k)).tolist()
 
 
-def _chart_points(n: int, simplex_points, angular_nodes: int):
+def _chart_points(simplex_points, angular_nodes: int):
     """(z_1, .., z_n) and raw weight for each simplex point times each torus
     point (last angle fastest), in that order, at z_i = sqrt(t_i/t_0) e^(i theta_i)."""
     phases = _torus_points(angular_nodes)
     for t, weight in simplex_points:
-        radii = [math.sqrt(ti / t[0]) for ti in t[1:]]
-        if n == 1:
-            r = radii[0]
-            for a in phases:
-                yield (r * a,), weight
-        else:
-            for angles in itertools.product(phases, repeat=n):
-                yield [r * a for r, a in zip(radii, angles)], weight
+        axes = [[math.sqrt(ti / t[0]) * a for a in phases] for ti in t[1:]]
+        for z in itertools.product(*axes):
+            yield z, weight
 
 
 _SCALARS = (int, float, complex, np.number)
@@ -140,7 +135,7 @@ def _integrate(f, n: int, simplex_nodes: int, angular_nodes: int, mass: float):
     """
     _check_rule(n, simplex_nodes, angular_nodes)
     total = scratch = None
-    for z, weight in _chart_points(n, _simplex_points(n, simplex_nodes), angular_nodes):
+    for z, weight in _chart_points(_simplex_points(n, simplex_nodes), angular_nodes):
         value = f(*z)
         if isinstance(value, _SCALARS):
             value = complex(value) * weight
@@ -178,7 +173,7 @@ def cp1_outermost_points(spec: QuadratureSpecCP1) -> list[complex]:
     reaches its largest |z|, exactly as it passes them to f."""
     _check_rule(1, spec.radial_nodes, spec.angular_nodes)
     outermost = list(_simplex_points(1, spec.radial_nodes))[-1:]
-    return [z for (z,), _ in _chart_points(1, outermost, spec.angular_nodes)]
+    return [z for (z,), _ in _chart_points(outermost, spec.angular_nodes)]
 
 
 def integrate_cp2(f, spec: QuadratureSpecCP2 | None = None):

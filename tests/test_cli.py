@@ -225,11 +225,14 @@ def test_monte_carlo_stdout_is_the_same_for_one_and_two_blas_threads():
     [
         ("bell", "integrate", "--space", "cp2", "--flat", "cp2:a2"),
         ("bell", "integrate", "--space", "cpn", "--n", "4", "--p", "1", "--q", "2"),
+        ("bell", "integrate", "--space", "cp1", "--two-j", "33", "--flat", "cp1:3"),
+        ("verify", "moments", "--two-j", "40"),
     ],
-    ids=["cp2", "cp3"],
+    ids=["cp2", "cp3", "cp1", "moments"],
 )
 def test_quadrature_stdout_is_the_same_for_one_and_two_blas_threads(argv):
-    # the rule on CP^n is contracted with matrix products, which may go through BLAS
+    # the rule on CP^n is contracted with matrix products, and the cp1 twist
+    # multiplies each node's state by U; either may go through BLAS
     _same_stdout_for_one_and_two_blas_threads(*argv)
 
 
@@ -243,19 +246,6 @@ def test_quadrature_stdout_is_the_same_for_one_and_two_blas_threads(argv):
 )
 def test_verify_stdout_is_the_same_for_one_and_two_blas_threads(argv):
     # the state-vs-projector check runs stacked matrix products, which may go through BLAS
-    _same_stdout_for_one_and_two_blas_threads(*argv)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("bell", "integrate", "--space", "cp1", "--two-j", "33", "--flat", "cp1:3"),
-        ("verify", "moments", "--two-j", "40"),
-    ],
-    ids=["cp1", "moments"],
-)
-def test_cp1_quadrature_stdout_is_the_same_for_one_and_two_blas_threads(argv):
-    # the cp1 twist multiplies each node's state by U, which may go through BLAS
     _same_stdout_for_one_and_two_blas_threads(*argv)
 
 
