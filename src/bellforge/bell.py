@@ -9,6 +9,9 @@ where Z^b is a catalog twist of Z. Because |Z^b> = U conj(|Z>) and the
 coherent family resolves the identity, the integral collapses to the closed
 form (1/sqrt(d)) (I (x) U) sum_k |k>|k>; the numerical integrators reproduce
 it to quadrature accuracy, which is what the verification suite checks.
+`bell_target` reads that closed form off the columns of U;
+`closed_form_bell_cp1`, `closed_form_bell_cp2` and `generalized_bell` check
+their arguments and return it for a named map.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class BipartiteState:
 
 
 def closed_form_bell_cp1(two_j: int, tag: int) -> BipartiteState:
-    """The four spin-j families:
+    """The four spin-j families, bell_target of the cp1 tag:
 
     1: sum_k |k>|k>            2: sum_k (-1)^k |k>|k>
     3: sum_k |k>|2j-k>         4: sum_k (-1)^k |k>|2j-k>
@@ -66,17 +69,12 @@ def closed_form_bell_cp1(two_j: int, tag: int) -> BipartiteState:
         raise DomainError(f"tag must be 1..4, got {tag}")
     if two_j < 0:
         raise DomainError("two_j must be nonnegative")
-    dim = two_j + 1
-    amps = np.zeros(dim * dim, dtype=complex)
-    for k in range(dim):
-        partner = k if tag in (1, 2) else two_j - k
-        sign = (-1.0) ** k if tag in (2, 4) else 1.0
-        amps[k * dim + partner] = sign
-    return BipartiteState(dim, dim, amps / np.sqrt(dim))
+    return bell_target(FlatMapId.cp1(tag), two_j=two_j)
 
 
 def generalized_bell(n: int, p: int, q: int) -> BipartiteState:
-    """(1/sqrt(n)) sum_k omega^(pk) |k> (x) |k+q mod n>, omega = exp(2 pi i/n).
+    """(1/sqrt(n)) sum_k omega^(pk) |k> (x) |k+q mod n>, omega = exp(2 pi i/n):
+    bell_target of the cpn pair (p, q) on CP^(n-1), and |0>|0> for n = 1.
 
     An orthonormal basis of maximally entangled states for every n; for n = 2
     and n = 3 it coincides with the cp1 spin-1/2 and cp2 closed forms.
@@ -85,11 +83,9 @@ def generalized_bell(n: int, p: int, q: int) -> BipartiteState:
         raise DomainError("n must be positive")
     if not (0 <= p < n and 0 <= q < n):
         raise DomainError(f"need 0 <= p, q < {n}, got ({p}, {q})")
-    omega = np.exp(2j * np.pi / n)
-    amps = np.zeros(n * n, dtype=complex)
-    for k in range(n):
-        amps[k * n + (k + q) % n] = omega ** (p * k)
-    return BipartiteState(n, n, amps / np.sqrt(n))
+    if n == 1:  # CP^0 has no catalog map
+        return BipartiteState(1, 1, [1.0])
+    return bell_target(FlatMapId.cpn(n - 1, p, q))
 
 
 def closed_form_bell_cp2(p: int, q: int) -> BipartiteState:
@@ -198,13 +194,11 @@ def fivel_bell(
 
 
 def bell_target(flat: FlatMapId, *, two_j: int | None = None) -> BipartiteState:
-    """(1/sqrt(d)) (I (x) U) sum_k |k>|k>: what the integral must produce."""
+    """(1/sqrt(d)) (I (x) U) sum_k |k>|k>: what the integral must produce, and
+    the closed form every command prints. Amplitude k*d + i is U[i, k], so the
+    state is U's columns one after another."""
     dim = _dim_for(flat, two_j)
-    u = global_unitary(flat, dim)
-    amps = np.zeros(dim * dim, dtype=complex)
-    for k in range(dim):
-        amps[k * dim : (k + 1) * dim] = u[:, k]
-    return BipartiteState(dim, dim, amps / np.sqrt(dim))
+    return BipartiteState(dim, dim, global_unitary(flat, dim).T.reshape(-1) / np.sqrt(dim))
 
 
 def unitary_transport_identity(

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, bell, fourier
-from .errors import BellforgeError, DomainError
+from .errors import BellforgeError, DomainError, check_array_bytes
 from .flatmaps import (
     FlatMapId,
     cp1_catalog,
@@ -173,12 +173,6 @@ def _resolve_flat(space="cp1", flat=None, two_j=None, n=None, p=0, q=0):
     return flat, None, flat.n + 1
 
 
-def _closed_form_for(flat: FlatMapId, two_j: int | None) -> bell.BipartiteState:
-    if flat.space == "cp1":
-        return bell.closed_form_bell_cp1(two_j, flat.tag)
-    return bell.generalized_bell(flat.n + 1, flat.p, flat.q)
-
-
 def _closed_form_label(flat: FlatMapId, two_j: int | None) -> str:
     if flat.space == "cp1":
         sign = "(-1)^k " if flat.tag in (2, 4) else ""
@@ -212,7 +206,7 @@ def _quadrature_spec(space, two_j, **nodes):
 
 def _cmd_bell_make(args) -> int:
     flat, two_j, _ = _resolve_flat(args.space, args.flat, args.two_j, args.n, args.p, args.q)
-    state = _closed_form_for(flat, two_j)
+    state = bell.bell_target(flat, two_j=two_j)
     config = {"space": args.space, "flat": str(flat)}
     if two_j is not None:
         config["two_j"] = two_j
@@ -234,7 +228,7 @@ def _bell_integral(tol, notes, spec=None, output=None, **flags):
     integrate` checks it; the integrated state is written to `output` if given."""
     flat, two_j, _ = _resolve_flat(**flags)
     state, norm_residual = bell.fivel_bell(flat, spec, two_j=two_j)
-    distance = analysis.state_distance(state, _closed_form_for(flat, two_j))
+    distance = analysis.state_distance(state, bell.bell_target(flat, two_j=two_j))
     notes.append(f"closed form: {_closed_form_label(flat, two_j)}")
     if output:
         _write_json(_state_document(state), output)
@@ -340,10 +334,9 @@ def _rank(tol, notes, family="spin1", two_j=1, n=2):
         spin = 2 if family == "spin1" else two_j
         states = [bell.closed_form_bell_cp1(spin, t) for t in (1, 2, 3, 4)]
         expected = {0: 1, 2: 3}.get(spin, 4)
-    elif family == "cp2":
-        states = [bell.closed_form_bell_cp2(p, q) for p in range(3) for q in range(3)]
-        expected = 9
-    else:
+    else:  # cp2 is the generalized family at n = 3
+        n = 3 if family == "cp2" else n
+        check_array_bytes(16 * n**4, f"the {n * n} generalized Bell states at n = {n}")
         states = [bell.generalized_bell(n, p, q) for p in range(n) for q in range(n)]
         expected = n * n
     notes.append(f"family: {family} ({len(states)} states)")
@@ -352,7 +345,7 @@ def _rank(tol, notes, family="spin1", two_j=1, n=2):
 
 def _schmidt(tol, notes, **flags):
     flat, two_j, dim = _resolve_flat(**flags)
-    state = _closed_form_for(flat, two_j)
+    state = bell.bell_target(flat, two_j=two_j)
     data = analysis.schmidt(state)
     uniform = 1.0 / math.sqrt(dim)
     notes.append(f"closed form: {_closed_form_label(flat, two_j)}")

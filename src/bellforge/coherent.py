@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_array_bytes
 
 
 def binomial_row(n: int) -> np.ndarray:
@@ -76,10 +76,11 @@ def spin_states_from_homogeneous(two_j: int, zetas: np.ndarray) -> np.ndarray:
     so that its state is not finite or is zero, is evaluated again from the
     unit row at the same point and phase; other rows are left untouched.
     Every finite nonzero row then has a finite state for each 2j that
-    binomial_row accepts. Rows that are all zero or not finite are refused
-    with DomainError.
+    binomial_row accepts. Rows that are all zero or not finite, and states
+    past MAX_ARRAY_BYTES, are refused with DomainError.
     """
     z = np.asarray(zetas, dtype=complex).reshape(-1, 2)
+    check_array_bytes(16 * len(z) * (two_j + 1), f"{len(z)} spin states at 2j = {two_j}")
     _check_points(z)
     states = _spin_rows(two_j, z)
     bad = ~(np.isfinite(states).all(axis=1) & states.any(axis=1))

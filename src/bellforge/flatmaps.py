@@ -3,7 +3,8 @@
 Every map in the catalog acts on states as conjugation followed by a monomial
 unitary, |Z^b> = U conj(|Z>), and on projectors as P -> U conj(P) U^dagger.
 This realization is chart-free and satisfies the overlap-reversal identity
-<Z^b|W^b> = <W|Z> exactly, for any unitary U.
+<Z^b|W^b> = <W|Z> exactly, for any unitary U. `global_unitary` builds U from
+one target index and one phase per basis vector, U|k> = phase_k |target_k>.
 
 Catalog:
 
@@ -12,9 +13,11 @@ Catalog:
     2: z -> -conj(z)       U = diag((-1)^k)
     3: z -> 1/conj(z)      U = index reversal |k> -> |2j-k>
     4: z -> -1/conj(z)     U = reversal . diag((-1)^k)
+    so U|k> = (1 or (-1)^k) |k or 2j-k>.
 
   cpn pairs (p, q), 0 <= p, q <= n, on the (n+1)-dimensional space:
-    U = shift^q clock^p, with clock = diag(omega^k), omega = exp(2 pi i/(n+1)).
+    U = shift^q clock^p, with clock = diag(omega^k), omega = exp(2 pi i/(n+1)):
+    U|k> = omega^(pk) |k+q mod n+1>.
     For n = 2 the pairs are labelled a1..c3: letter = q (a, b, c), digit = p+1.
 
 On points the map is flat_state applied to fundamental homogeneous
@@ -29,9 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fourier
 from .coherent import coherent_states
-from .errors import DimensionMismatchError, EmptyFamilyError, UnknownFlatMapError
+from .errors import DimensionMismatchError, EmptyFamilyError, UnknownFlatMapError, check_array_bytes
 
 _CP2_LETTERS = "abc"
 
@@ -101,27 +103,27 @@ def cpn_catalog(n: int) -> list[FlatMapId]:
 
 
 def global_unitary(flat: FlatMapId, dim: int) -> np.ndarray:
-    """Monomial unitary U realizing the map on a dim-dimensional space.
+    """Monomial unitary U realizing the map on a dim-dimensional space, built
+    as U|k> = phase_k |target_k> with every other entry +0; refused past
+    MAX_ARRAY_BYTES.
 
     cp1 tags act on any spin space (dim = 2j+1); cpn pairs require dim = n+1.
     """
-    if flat.space == "cp1":
-        if dim < 1:
-            raise DimensionMismatchError("dim must be positive")
-        signs = np.diag((-1.0) ** np.arange(dim)).astype(complex)
-        reversal = np.zeros((dim, dim), dtype=complex)
-        reversal[np.arange(dim)[::-1], np.arange(dim)] = 1.0
-        return {
-            1: np.eye(dim, dtype=complex),
-            2: signs,
-            3: reversal,
-            4: reversal @ signs,
-        }[flat.tag]
-    if dim != flat.n + 1:
+    if flat.space == "cp1" and dim < 1:
+        raise DimensionMismatchError("dim must be positive")
+    if flat.space == "cpn" and dim != flat.n + 1:
         raise DimensionMismatchError(f"cpn map of CP^{flat.n} needs dim {flat.n + 1}, got {dim}")
-    a = np.linalg.matrix_power(fourier.clock(dim), flat.p)
-    b = np.linalg.matrix_power(fourier.shift(dim), flat.q)
-    return b @ a
+    check_array_bytes(16 * dim * dim, f"the {dim} x {dim} unitary of {flat}")
+    k = np.arange(dim)
+    if flat.space == "cp1":
+        target = k if flat.tag in (1, 2) else dim - 1 - k
+        phase = (-1.0) ** k if flat.tag in (2, 4) else 1.0
+    else:
+        target = (k + flat.q) % dim
+        phase = np.exp(2j * np.pi / dim) ** (flat.p * k)
+    u = np.zeros((dim, dim), dtype=complex)
+    u[target, k] = phase
+    return u
 
 
 def flat_state(flat: FlatMapId, psi: np.ndarray) -> np.ndarray:

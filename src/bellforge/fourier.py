@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_array_bytes
 
 
 def _check_order(n: int) -> None:
     if n < 2:
         raise DomainError(f"order must be at least 2, got {n}")
+    check_array_bytes(16 * n * n, f"a complex matrix of order {n}")
 
 
 def walsh_hadamard(n: int) -> np.ndarray:

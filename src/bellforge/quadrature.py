@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_array_bytes
 
 TWO_PI = 2.0 * np.pi
 MAX_RULE_ROWS = 1 << 20  # the largest rule: 80 MiB of rows on CP^4 in cpn_rule
@@ -196,6 +196,7 @@ def cpn_rule(n: int, spec: QuadratureSpecCP2) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("n must be at least 1")
     m, k = spec.simplex_nodes, spec.angular_nodes
     _check_rule(n, m, k)
+    check_array_bytes(16 * (n + 1) * (m * k) ** n, f"the rows of the rule on CP^{n}")
     t, weights = map(np.array, zip(*_simplex_points(n, m)))
     angles = np.array([(1.0, *a) for a in itertools.product(_torus_points(k), repeat=n)])
     rows = (np.sqrt(t)[:, None, :] * angles[None, :, :]).reshape(-1, n + 1)
@@ -235,9 +236,11 @@ def sample_fubini_study(n: int, spec: MCSpec) -> np.ndarray:
 
     (dim V / samples) * sum f(row) estimates the integral of f for a
     representation of total mass dim V. Identical seed, identical stream.
+    Refused past MAX_ARRAY_BYTES of draws.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
+    check_array_bytes(16 * spec.samples * (n + 1), f"{spec.samples} samples on CP^{n}")
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     u = rng.random((spec.samples, n + 1, 2))
     return np.sqrt(-np.log1p(-u[..., 0])) * np.exp(TWO_PI * 1j * u[..., 1])

@@ -242,16 +242,40 @@ def test_generalized_family_against_deterministic_cp3_rule():
 # --- the analytic transport identity -----------------------------------------
 
 
+def loop_closed_form_cp1(two_j, tag):
+    """The spin-j closed form as a loop over k, independent of global_unitary."""
+    dim = two_j + 1
+    amps = np.zeros(dim * dim, dtype=complex)
+    for k in range(dim):
+        partner = k if tag in (1, 2) else two_j - k
+        sign = (-1.0) ** k if tag in (2, 4) else 1.0
+        amps[k * dim + partner] = sign
+    return amps / np.sqrt(dim)
+
+
+def loop_generalized_bell(n, p, q):
+    """The generalized Bell state as a loop over k, independent of global_unitary."""
+    omega = np.exp(2j * np.pi / n)
+    amps = np.zeros(n * n, dtype=complex)
+    for k in range(n):
+        amps[k * n + (k + q) % n] = omega ** (p * k)
+    return amps / np.sqrt(n)
+
+
 def test_bell_target_equals_closed_forms():
+    """Bit for bit, so the JSON of `bell make` is pinned for every map,
+    including the sign of each zero."""
     for tag in (1, 2, 3, 4):
-        for two_j in (0, 1, 2, 5):
-            d = state_distance(
-                bell_target(FlatMapId.cp1(tag), two_j=two_j), closed_form_bell_cp1(two_j, tag)
-            )
-            assert d < 1e-14
-    for flat in cpn_catalog(2):
-        d = state_distance(bell_target(flat), closed_form_bell_cp2(flat.p, flat.q))
-        assert d < 1e-14
+        for two_j in range(41):
+            want = loop_closed_form_cp1(two_j, tag).tobytes()
+            assert bell_target(FlatMapId.cp1(tag), two_j=two_j).amplitudes.tobytes() == want
+            assert closed_form_bell_cp1(two_j, tag).amplitudes.tobytes() == want
+    for n in range(1, 13):
+        for flat in cpn_catalog(n):
+            want = loop_generalized_bell(n + 1, flat.p, flat.q).tobytes()
+            assert bell_target(flat).amplitudes.tobytes() == want
+            assert generalized_bell(n + 1, flat.p, flat.q).amplitudes.tobytes() == want
+    assert generalized_bell(1, 0, 0).amplitudes.tobytes() == loop_generalized_bell(1, 0, 0).tobytes()
 
 
 def test_transport_identity_examples():

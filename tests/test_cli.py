@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellforge import cli, closed_form_bell_cp1, closed_form_bell_cp2, generalized_bell, quadrature
+from bellforge import cli, closed_form_bell_cp1, closed_form_bell_cp2, errors, generalized_bell, quadrature
 
 S2 = 1.0 / math.sqrt(2.0)
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
@@ -428,6 +428,9 @@ def test_oversized_rules_are_refused_before_any_table_is_built(argv, bellforge, 
         ("bell", "integrate", "--space", "cpn", "--n", "4", "--p", "1", "--q", "2", "--radial-nodes", "3"),
         ("bell", "integrate", "--space", "cp1", "--two-j", "2", "--flat", "cp1:1", "--simplex-nodes", "3"),
         ("bell", "integrate", "--space", "cp2", "--flat", "cp2:a2", "--mc-samples", "10", "--angular-nodes", "7"),
+        # a space these checks have no rule or measure for
+        ("verify", "unity", "--space", "cpn"),
+        ("verify", "measure", "--space", "cpn"),
     ],
 )
 def test_node_counts_the_rule_cannot_use_are_usage_errors(argv, bellforge):
@@ -443,8 +446,49 @@ def test_bell_integrate_on_the_sphere_of_a_cpn_id_passes(bellforge):
     assert "result: PASS (2/2)" in out
 
 
-@pytest.mark.parametrize("two_j, rank", [(0, 1), (1, 4), (2, 3), (3, 4), (4, 4), (5, 4)])
-def test_cp1_family_rank(two_j, rank, bellforge):
-    code, out, _ = bellforge("verify", "rank", "--family", "cp1", "--two-j", str(two_j))
+CP1_RANKS = [(0, 1), (1, 4), (2, 3), (3, 4), (4, 4), (5, 4)]
+
+
+@pytest.mark.parametrize(
+    "argv, rank",
+    [(("--family", "cp1", "--two-j", str(two_j)), rank) for two_j, rank in CP1_RANKS]
+    + [(("--family", "cp2"), 9), (("--family", "gen", "--n", "4"), 16)],
+    ids=[f"{two_j}-{rank}" for two_j, rank in CP1_RANKS] + ["cp2-9", "gen-4-16"],
+)
+def test_cp1_family_rank(argv, rank, bellforge):
+    code, out, _ = bellforge("verify", "rank", *argv)
     assert code == 0
-    assert f"check rank-cp1: value={rank} == {rank} PASS" in out
+    assert f"check rank-{argv[1]}: value={rank} == {rank} PASS" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bell", "make", "--space", "cpn", "--n", "1000000000000", "--p", "0", "--q", "0"),
+        ("bell", "make", "--space", "cp1", "--two-j", "1000000000000", "--flat", "cp1:3"),
+        (
+            "bell", "integrate", "--space", "cpn", "--n", "1000000000000", "--p", "0", "--q", "0",
+            "--mc-samples", "10",
+        ),
+        ("export", "--what", "clock", "--n", "1000000000000"),
+        ("verify", "fourier", "--n", "1000000000000"),
+        ("verify", "rank", "--family", "gen", "--n", "1000000000000"),
+        ("verify", "rank", "--family", "gen", "--n", "1000"),
+        ("bell", "integrate", "--space", "cp1", "--flat", "cp1:1", "--mc-samples", "1000000000000"),
+        ("verify", "consistency", "--flat", "cp1:1", "--points", "1000000000000"),
+        ("verify", "antimap", "--flat", "cp1:1", "--pairs", "1000000000000"),
+    ],
+)
+def test_inputs_past_the_byte_budget_are_refused_before_any_array_is_built(argv, bellforge):
+    code, out, err = bellforge(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "more than 1073741824" in err
+
+
+def test_spin_states_past_the_byte_budget_are_refused_before_they_are_built(bellforge, monkeypatch):
+    # the draw of 1000 rows takes 32 KB and fits a 1 MiB budget; its spin
+    # states at 2j = 1000 would take 16 MB
+    monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", 1 << 20)
+    code, out, err = bellforge("verify", "consistency", "--flat", "cp1:1", "--two-j", "1000", "--points", "1000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 1000 spin states at 2j = 1000 would take")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.linalg import matrix_power
 
 from bellforge import (
     DimensionMismatchError,
@@ -24,6 +25,7 @@ from bellforge.coherent import (
     spin_states_from_homogeneous,
 )
 from bellforge.flatmaps import _chunk_rows, cp1_catalog, cpn_catalog
+from bellforge.fourier import clock, shift
 from bellforge.quadrature import MCSpec, sample_fubini_study
 
 W = np.exp(2j * np.pi / 3.0)
@@ -72,6 +74,11 @@ def test_unitary_cp1_tag4_spin_half():
 def test_unitary_cp2_pair_11_is_shift_times_clock():
     expected = np.array([[0, 0, W**2], [1, 0, 0], [0, W, 0]])
     assert np.max(np.abs(global_unitary(FlatMapId.cpn(2, 1, 1), 3) - expected)) < 1e-14
+    for n in (1, 2, 3, 4):
+        for flat in cpn_catalog(n):
+            d = n + 1
+            product = matrix_power(shift(d), flat.q) @ matrix_power(clock(d), flat.p)
+            assert np.max(np.abs(global_unitary(flat, d) - product)) <= 1e-15, flat
 
 
 def test_unitary_cp2_pair_00_is_identity():

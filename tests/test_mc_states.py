@@ -18,12 +18,15 @@ from bellforge.flatmaps import cp1_catalog, cpn_catalog
 SPEC_A = MCSpec(samples=20_000, seed=11)
 SPEC_B = MCSpec(samples=20_000, seed=12)
 
-# sha256 of mc_digest_bytes(), recorded before the Monte Carlo states were
-# kept between calls, with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64. The
-# bytes depend on libm and on the BLAS summation order; a different build may
-# change the last bits, and then the hash has to be recorded again from code
-# that draws afresh on every call.
-MC_GOLDEN_SHA256 = "19fd5ac717f98ba8555333321e8090c375dcba50909f14fc6d6d1312142a1990"
+# sha256 of mc_digest_bytes(), with numpy 2.4.6 and OpenBLAS 0.3.31 on
+# x86-64. First recorded before the Monte Carlo states were kept between
+# calls; recorded again when global_unitary began to build each cpn map from
+# its phases omega^(pk) rather than from the product shift^q clock^p, which
+# moved the CP^2 amplitudes with p >= 1 by at most 1.7e-16. The bytes depend
+# on libm and on the BLAS summation order; a different build may change the
+# last bits, and then the hash has to be recorded again from code that draws
+# afresh on every call. Run this file as a script to print the current hash.
+MC_GOLDEN_SHA256 = "853d5dc30f5be97ed3517bf9a8116fac3b1d1740f50b258144779a191907afe9"
 
 
 def mc_digest_bytes() -> bytes:
@@ -176,3 +179,9 @@ def test_threads_sharing_the_entry_get_the_states_of_their_own_spec(monkeypatch)
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == [] and mismatches == []
+
+
+if __name__ == "__main__":
+    # a deliberate re-record: PYTHONPATH=src python tests/test_mc_states.py
+    print(f"recorded MC_GOLDEN_SHA256: {MC_GOLDEN_SHA256}")
+    print(f"current  MC_GOLDEN_SHA256: {hashlib.sha256(mc_digest_bytes()).hexdigest()}")

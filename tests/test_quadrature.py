@@ -144,6 +144,7 @@ def test_cpn_rule_refuses_more_than_2_to_the_20_rows():
     rows, _ = cpn_rule(2, QuadratureSpecCP2(simplex_nodes=32, angular_nodes=32))
     assert len(rows) == 2**20
     too_big = [(2, QuadratureSpecCP2(simplex_nodes=33, angular_nodes=32)), (5, QuadratureSpecCP2())]
+    too_big.append((10**12, QuadratureSpecCP2(1, 1)))  # one row, past MAX_ARRAY_BYTES
     for n, spec in [*too_big, (0, QuadratureSpecCP2())]:
         with pytest.raises(DomainError):
             cpn_rule(n, spec)

@@ -30,7 +30,8 @@ from bellforge.quadrature import TWO_PI, gauss_legendre_01
 # bytes depend on libm and, through the small matrix-vector products of the
 # cp1 twist, on the BLAS build; a different build may change the last bits.
 # Then the hash has to be recorded again, once the contract tests below show
-# the node loop equal to reference_integrate on that build.
+# the node loop equal to reference_integrate on that build. Run this file as a
+# script to print the current hash.
 QUAD_GOLDEN_SHA256 = "85dd0523b4386a4590cf6e5586cb098a719cde71a65f3838d3cf4e90e1a0cd8d"
 
 SPEC_CP1 = QuadratureSpecCP1(radial_nodes=6, angular_nodes=7)
@@ -199,3 +200,9 @@ def test_a_read_only_array_returned_at_every_node_is_left_as_it_is():
     assert_same_bits(got, reference_integrate(lambda z: shared, 1, 6, 11, 5))
     assert shared.tobytes() == before.tobytes()
     assert got is not shared and not np.shares_memory(got, shared)
+
+
+if __name__ == "__main__":
+    # a deliberate re-record: PYTHONPATH=src python tests/test_quadrature_loop.py
+    print(f"recorded QUAD_GOLDEN_SHA256: {QUAD_GOLDEN_SHA256}")
+    print(f"current  QUAD_GOLDEN_SHA256: {hashlib.sha256(quadrature_digest_bytes()).hexdigest()}")
