@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import BipartiteState, _cp1_integral, _weighted_states
+from .bell import BipartiteState, _contract, _cp1_integral, _points
 from .errors import DimensionMismatchError, EmptyFamilyError
 from .quadrature import MCSpec, QuadratureSpecCP1, QuadratureSpecCP2, integrate_cp1, integrate_cp2
 
@@ -55,7 +55,8 @@ def resolution_of_unity_cp1(two_j: int, spec: QuadratureSpecCP1 | None = None) -
     refused before the first node when a node lies outside the range of
     coherent_cp1."""
     spec = spec or QuadratureSpecCP1.for_spin(two_j)
-    frame = _cp1_integral(two_j, spec, lambda psi: np.outer(psi, psi.conj()))
+    buf = np.empty((two_j + 1, two_j + 1), dtype=complex)  # every node's outer product, reused
+    frame = _cp1_integral(two_j, spec, lambda psi: np.outer(psi, psi.conj(), out=buf))
     return float(np.linalg.norm(frame - np.eye(two_j + 1)))
 
 
@@ -66,8 +67,7 @@ def resolution_of_unity_cp2(spec: QuadratureSpecCP2 | None = None) -> float:
 def resolution_of_unity_mc(n: int, spec: MCSpec | QuadratureSpecCP2) -> float:
     """Frame-operator deviation on CP^n (level-one states) over the Monte
     Carlo draw of an MCSpec, or over the rule of a QuadratureSpecCP2."""
-    weighted, conj = _weighted_states("cpn", n + 1, spec)
-    frame = weighted @ conj
+    frame = _contract(*_points("cpn", n + 1, spec))
     return float(np.linalg.norm(frame - np.eye(n + 1)))
 
 

@@ -27,10 +27,11 @@ from .quadrature import (
     MCSpec,
     QuadratureSpecCP1,
     QuadratureSpecCP2,
+    _block_rows,
+    _draw,
     cp1_outermost_points,
     cpn_rule,
     integrate_cp1,
-    sample_fubini_study,
 )
 
 
@@ -106,47 +107,67 @@ def _dim_for(flat: FlatMapId, two_j: int | None) -> int:
     return flat.n + 1
 
 
-# ((space, dim, spec), (weighted, conj)) of the most recent Monte Carlo draw
+# ((space, dim, spec), states) of the most recent Monte Carlo draw
 _last_draw = None
 
 
-def _contraction_operands(states: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only operands (weights * states.T, states.conj()) of the
-    weighted contraction: with one state per row, weighted @ (conj @ U.T) is
-    sum_k w_k |Z_k> (x) U conj|Z_k>, and weighted @ conj the frame operator."""
-    weighted = weights * states.T
-    conj = states.conj()
-    weighted.flags.writeable = conj.flags.writeable = False
-    return weighted, conj
+def _points(space: str, dim: int, spec: QuadratureSpecCP2 | MCSpec):
+    """(states, weights) of points whose weights have total mass dim: the
+    level-one states of the rule on CP^(dim-1) with its per-row weights,
+    built afresh on each call, or the coherent states at the sample rows of
+    an MCSpec with the one weight dim/samples, spin (dim-1)/2 states on CP^1
+    for space "cp1" and level-one states on CP^(dim-1) for "cpn".
 
-
-def _weighted_states(space: str, dim: int, spec: QuadratureSpecCP2 | MCSpec):
-    """Contraction operands (weighted, conj) of points whose weights have
-    total mass dim: the rule on CP^(dim-1), built afresh on each call, or the
-    coherent states at the sample rows of an MCSpec at weight dim/samples,
-    spin (dim-1)/2 states on CP^1 for space "cp1" and level-one states on
-    CP^(dim-1) for "cpn".
-
-    The operands of the most recent draw stay in one module-level entry, so
-    every map of a catalog run over one spec pays for one draw, one
-    normalization and no pass over the samples besides its two matrix
-    products. The entry is read-only and is released before the next
-    different draw, so one caller never holds two draws at once.
+    The states of the most recent draw stay in one module-level entry, read
+    only, so every map of a catalog run over one spec pays for one draw and
+    one normalization. The draw is evaluated block by block into that one
+    (samples, dim) array. The entry is released before the next different
+    draw, so one caller never holds two draws at once.
     """
     if not isinstance(spec, MCSpec):
         rows, weights = cpn_rule(dim - 1, spec)
-        return _contraction_operands(coherent_states("cpn", rows), weights)
+        return coherent_states("cpn", rows), weights
     global _last_draw
     key = (space, dim, spec)
     entry = _last_draw  # read once: another thread may replace the entry meanwhile
     if entry is not None and entry[0] == key:
-        return entry[1]
+        return entry[1], dim / spec.samples
     _last_draw = entry = None
     n = 1 if space == "cp1" else dim - 1
-    states = coherent_states(space, sample_fubini_study(n, spec), dim - 1)
-    operands = _contraction_operands(states, dim / spec.samples)
-    _last_draw = (key, operands)
-    return operands
+    states = _draw(n, spec, dim, lambda rows: coherent_states(space, rows, dim - 1))
+    states.flags.writeable = False
+    _last_draw = (key, states)
+    return states, dim / spec.samples
+
+
+def _contract(states: np.ndarray, weights, u: np.ndarray | None = None) -> np.ndarray:
+    """sum_k w_k |Z_k> (x) U conj|Z_k> as a d x d matrix, one state Z_k per
+    row, or the frame operator sum_k w_k |Z_k><Z_k| when u is None; weights
+    is one weight per row or a single weight.
+
+    Each block of rows is weighted, conjugated and twisted in buffers made
+    once per call, and (w block)^T @ (conj(block) U^T) is added to the total,
+    so no temporary grows with the number of rows.
+    """
+    rows, dim = states.shape
+    step = min(rows, _block_rows(dim))
+    weighted, conj, twisted = np.empty((3, step, dim), dtype=complex)
+    per_row = np.ndim(weights) == 1
+    total = product = None
+    for start in range(0, rows, step):
+        block = states[start : start + step]
+        m = len(block)
+        w = weights[start : start + m, None] if per_row else weights
+        left = np.multiply(block, w, out=weighted[:m]).T
+        right = np.conjugate(block, out=conj[:m])
+        if u is not None:
+            right = np.matmul(right, u.T, out=twisted[:m])
+        if total is None:
+            total = left @ right
+        else:  # the d x d product of every later block goes through one buffer
+            product = np.matmul(left, right, out=product)
+            total += product
+    return total
 
 
 def _cp1_integral(two_j: int, spec: QuadratureSpecCP1, term):
@@ -169,8 +190,8 @@ def fivel_bell(
     before the first node when one lies outside the range of coherent_cp1; a
     cpn id of any n takes the QuadratureSpecCP2 rule of cpn_rule. Either takes
     an MCSpec, and consecutive Monte Carlo calls with one spec share one draw.
-    Off cp1 quadrature the integral is two matrix products over the points,
-    weighted @ (conj @ U.T), with the operands of _weighted_states.
+    Off cp1 quadrature the integral is _contract over the points of _points,
+    taken in blocks of rows.
     Returns the state and the norm residual abs(norm - 1).
     """
     dim = _dim_for(flat, two_j)
@@ -182,13 +203,13 @@ def fivel_bell(
         raise DomainError(f"{flat} takes a {rule.__name__} or an MCSpec, not a {kind}")
     u = global_unitary(flat, dim)
     if isinstance(spec, QuadratureSpecCP1):
-        # |Z> (x) |Z^b> at each node
-        amps = _cp1_integral(two_j, spec, lambda psi: np.outer(psi, u @ psi.conj()).reshape(-1))
+        # |Z> (x) |Z^b> at each node, written into one buffer the loop only reads
+        buf = np.empty((dim, dim), dtype=complex)
+        amps = _cp1_integral(two_j, spec, lambda psi: np.outer(psi, u @ psi.conj(), out=buf).reshape(-1))
         amps = amps / np.sqrt(dim)
     else:
-        weighted, conj = _weighted_states(flat.space, dim, spec)
         # sum of weight |Z>(x)|Z^b> over the points, of total mass dim V
-        amps = (weighted @ (conj @ u.T)).reshape(-1) / np.sqrt(dim)
+        amps = _contract(*_points(flat.space, dim, spec), u).reshape(-1) / np.sqrt(dim)
     state = BipartiteState(dim, dim, amps)
     return state, abs(state.norm() - 1.0)
 

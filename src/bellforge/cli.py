@@ -91,17 +91,25 @@ class Report:
             verdict = "PASS" if self.ok else "FAIL"
             print(f"result: {verdict} ({passed}/{len(self.checks)})")
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["check", "value", "tolerance", "status"])
-            for c in self.checks:
-                writer.writerow(
-                    [c.name, _fmt(c.value), _fmt(c.tolerance), "PASS" if c.ok else "FAIL"]
-                )
+    def write_csv(self, handle) -> None:
+        writer = csv.writer(handle)
+        writer.writerow(["check", "value", "tolerance", "status"])
+        for c in self.checks:
+            writer.writerow([c.name, _fmt(c.value), _fmt(c.tolerance), "PASS" if c.ok else "FAIL"])
 
     def exit_code(self) -> int:
         return 0 if self.ok else 1
+
+    def finish(self, csv_path: str | None) -> int:
+        """Print the report and write its CSV; the CSV is opened first, so a
+        path that cannot be written exits 2 before any line is printed."""
+        if not csv_path:
+            self.emit()
+        else:
+            with _open_output(csv_path, newline="") as handle:
+                self.emit()
+                self.write_csv(handle)
+        return self.exit_code()
 
 
 def _fmt(value) -> str:
@@ -120,6 +128,25 @@ def _resolve_seed(args) -> int:
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     return seed
+
+
+def _open_output(path: str, **options):
+    """The file at path opened for writing; one that cannot be opened, such
+    as a file in a missing directory, is a usage error."""
+    try:
+        return open(path, "w", **options)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+# Peak bytes of one amplitude of a state document: its [re, im] list and
+# floats, the pieces json.dumps joins and the text, about 455 bytes measured.
+_DOCUMENT_BYTES_PER_AMPLITUDE = 512
+
+
+def _check_document(dim: int) -> None:
+    """Refuse, from the dimension alone, a state document past MAX_ARRAY_BYTES."""
+    check_array_bytes(_DOCUMENT_BYTES_PER_AMPLITUDE * dim * dim, f"the JSON document of {dim}^2 amplitudes")
 
 
 def _state_document(state: bell.BipartiteState) -> dict:
@@ -146,7 +173,7 @@ def _write_json(document: dict, path: str | None) -> None:
     if path is None:
         print(text)
     else:
-        with open(path, "w") as handle:
+        with _open_output(path) as handle:
             handle.write(text + "\n")
 
 
@@ -205,7 +232,8 @@ def _quadrature_spec(space, two_j, **nodes):
 
 
 def _cmd_bell_make(args) -> int:
-    flat, two_j, _ = _resolve_flat(args.space, args.flat, args.two_j, args.n, args.p, args.q)
+    flat, two_j, dim = _resolve_flat(args.space, args.flat, args.two_j, args.n, args.p, args.q)
+    _check_document(dim)
     state = bell.bell_target(flat, two_j=two_j)
     config = {"space": args.space, "flat": str(flat)}
     if two_j is not None:
@@ -238,7 +266,9 @@ def _bell_integral(tol, notes, spec=None, output=None, **flags):
 
 def _cmd_bell_integrate(args) -> int:
     flags = {key: vars(args)[key] for key in _BELL_FLAGS}
-    flat, two_j, _ = _resolve_flat(**flags)
+    flat, two_j, dim = _resolve_flat(**flags)
+    if args.output:
+        _check_document(dim)
     nodes = {key: vars(args)[key] for key in _NODES}
     if args.mc_samples is not None:
         _refuse_foreign_nodes(nodes, (), "Monte Carlo (--mc-samples)")
@@ -256,10 +286,7 @@ def _cmd_bell_integrate(args) -> int:
         config["two_j"] = two_j
     report = Report("bell integrate", config)
     report.checks.extend(_bell_integral(tolerance, report.notes, spec, args.output, **flags))
-    report.emit()
-    if args.csv:
-        report.write_csv(args.csv)
-    return report.exit_code()
+    return report.finish(args.csv)
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +439,7 @@ def _cmd_verify(args) -> int:
     flags = dict(config)
     tol = flags.pop("tolerance", default_tol)
     report.checks.extend(run(tol, report.notes, **flags))
-    report.emit()
-    if args.csv:
-        report.write_csv(args.csv)
-    return report.exit_code()
+    return report.finish(args.csv)
 
 
 def _cmd_export(args) -> int:
@@ -427,6 +451,17 @@ def _cmd_export(args) -> int:
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+def _tolerance(text: str) -> float:
+    """--tolerance: no residual can meet a negative or NaN bound, so either is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative number, got {text!r}")
+    return value
+
 
 # every flag of `bell` and `verify`; each subcommand takes the ones it names
 _FLAGS = {
@@ -443,7 +478,7 @@ _FLAGS = {
     "angular_nodes": dict(type=int),
     "simplex_nodes": dict(type=int),
     "mc_samples": dict(type=int),
-    "tolerance": dict(type=float),
+    "tolerance": dict(type=_tolerance),
     "seed": dict(type=int, help="falls back to BELLFORGE_SEED, then 0"),
     "output": dict(),
     "csv": dict(),

@@ -20,7 +20,9 @@ nodes per simplex axis.
 Monte Carlo sampling draws unnormalized homogeneous coordinates as standard
 complex Gaussians, zeta = sqrt(-log(1-u1)) exp(2 pi i u2), the polar Box-Muller
 form, from a PCG64 stream fixed entirely by the seed; the induced projective
-distribution is the normalized invariant measure.
+distribution is the normalized invariant measure. The stream is drawn and
+evaluated in blocks of about _BLOCK_BYTES, into one preallocated array, with
+the rows of one draw of all the samples (see `_draw`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .errors import DomainError, check_array_bytes
 TWO_PI = 2.0 * np.pi
 MAX_RULE_ROWS = 1 << 20  # the largest rule: 80 MiB of rows on CP^4 in cpn_rule
 MAX_GAUSS_ORDER = 1024  # leggauss builds an m x m companion matrix: 8 MiB at m = 1024
+# one block buffer of a draw or a contraction: 4096 rows of 4 complex entries (CP^3)
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -238,9 +242,31 @@ def sample_fubini_study(n: int, spec: MCSpec) -> np.ndarray:
     representation of total mass dim V. Identical seed, identical stream.
     Refused past MAX_ARRAY_BYTES of draws.
     """
+    return _draw(n, spec, n + 1, lambda rows: rows)
+
+
+def _block_rows(width: int) -> int:
+    """Rows of one block of `width` complex entries: _BLOCK_BYTES, at least one row."""
+    return max(1, _BLOCK_BYTES // (16 * width))
+
+
+def _draw(n: int, spec: MCSpec, width: int, evaluate) -> np.ndarray:
+    """(samples, width) array of evaluate(rows) over the draw of
+    sample_fubini_study, taken in blocks of rows.
+
+    PCG64 fills one uniform buffer per block, so the stream, and every row,
+    is that of one draw of all the samples; refused past MAX_ARRAY_BYTES
+    before the first block is drawn.
+    """
     if n < 1:
         raise DomainError("n must be at least 1")
-    check_array_bytes(16 * spec.samples * (n + 1), f"{spec.samples} samples on CP^{n}")
+    check_array_bytes(16 * spec.samples * width, f"{spec.samples} samples of {width} entries on CP^{n}")
+    out = np.empty((spec.samples, width), dtype=complex)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    u = rng.random((spec.samples, n + 1, 2))
-    return np.sqrt(-np.log1p(-u[..., 0])) * np.exp(TWO_PI * 1j * u[..., 1])
+    step = min(spec.samples, _block_rows(max(width, n + 1)))
+    uniforms = np.empty((step, n + 1, 2))
+    for start in range(0, spec.samples, step):
+        u = rng.random(out=uniforms[: spec.samples - start])
+        rows = np.sqrt(-np.log1p(-u[..., 0])) * np.exp(TWO_PI * 1j * u[..., 1])
+        out[start : start + len(u)] = evaluate(rows)
+    return out

@@ -224,6 +224,28 @@ def test_a_spin_past_float_range_is_refused_before_any_node(monkeypatch):
     assert len(calls) == 2 * 4 * 7
 
 
+def test_the_cp1_integrands_write_every_node_into_one_buffer(monkeypatch):
+    """Each node's outer product goes into one buffer per call: every value
+    the loop sees, all kept alive here, shares the first one's memory."""
+    values = []
+    integrate = bell.integrate_cp1
+
+    def keeping(f, two_j, spec=None):
+        def g(z):
+            values.append(f(z))
+            return values[-1]
+
+        return integrate(g, two_j, spec)
+
+    # fivel_bell and resolution_of_unity_cp1 both integrate through bell
+    monkeypatch.setattr(bell, "integrate_cp1", keeping)
+    for run in (lambda: fivel_bell(FlatMapId.cp1(3), two_j=4), lambda: resolution_of_unity_cp1(4)):
+        values.clear()
+        run()
+        assert len(values) == 6 * 11  # the default rule at 2j = 4
+        assert all(np.shares_memory(value, values[0]) for value in values)
+
+
 def test_cp1_requires_spin():
     with pytest.raises(DomainError):
         fivel_bell(FlatMapId.cp1(1))

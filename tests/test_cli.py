@@ -492,3 +492,60 @@ def test_spin_states_past_the_byte_budget_are_refused_before_they_are_built(bell
     code, out, err = bellforge("verify", "consistency", "--flat", "cp1:1", "--two-j", "1000", "--points", "1000")
     assert (code, out) == (2, "")
     assert err.startswith("error: 1000 spin states at 2j = 1000 would take")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bell", "integrate", "--space", "cp2", "--flat", "cp2:a2", "--output", "MISSING/state.json"),
+        ("bell", "integrate", "--space", "cp2", "--flat", "cp2:a2", "--csv", "MISSING/residuals.csv"),
+        ("bell", "make", "--space", "cp2", "--flat", "cp2:a2", "--output", "MISSING/state.json"),
+        ("export", "--what", "clock", "--n", "3", "--output", "MISSING/clock.json"),
+        ("verify", "unity", "--csv", "MISSING/residuals.csv"),
+    ],
+    ids=["integrate-output", "integrate-csv", "make-output", "export-output", "verify-csv"],
+)
+def test_a_file_that_cannot_be_written_exits_2_before_any_report_line(argv, bellforge, tmp_path):
+    missing = tmp_path / "missing"
+    code, out, err = bellforge(*(arg.replace("MISSING", str(missing)) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {missing}/")
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "-0.001", "abc"])
+@pytest.mark.parametrize(
+    "argv",
+    [("bell", "integrate", "--space", "cp2", "--flat", "cp2:a2"), ("verify", "unity")],
+    ids=["integrate", "verify"],
+)
+def test_a_tolerance_no_residual_can_meet_is_a_usage_error(argv, tolerance, bellforge):
+    code, out, err = bellforge(*argv, "--tolerance", tolerance)
+    assert (code, out) == (2, "")
+    assert f"error: argument --tolerance: must be a nonnegative number, got '{tolerance}'" in err
+
+
+def test_a_zero_tolerance_is_a_bound_like_any_other(bellforge):
+    code, out, _ = bellforge("verify", "measure", "--tolerance", "0")
+    assert code in (0, 1) and "<= 0.0" in out
+
+
+def test_a_state_document_past_the_byte_budget_is_refused_before_the_state_is_built(bellforge, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the state was built")
+
+    monkeypatch.setattr(cli.bell, "bell_target", unreachable)
+    monkeypatch.setattr(cli.bell, "fivel_bell", unreachable)
+    for argv in (
+        ("bell", "make", "--space", "cpn", "--n", "8000", "--p", "0", "--q", "0"),
+        ("bell", "integrate", "--space", "cpn", "--n", "8000", "--mc-samples", "10", "--output", "x.json"),
+    ):
+        code, out, err = bellforge(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the JSON document of 8000^2 amplitudes would take 32768000000 bytes")
+
+
+def test_the_largest_state_document_has_dimension_1448():
+    cli._check_document(1448)
+    with pytest.raises(errors.DomainError):
+        cli._check_document(1449)

@@ -1,17 +1,20 @@
-"""Monte Carlo output, pinned bit for bit, and the entry that keeps the
-contraction operands of the most recent draw."""
+"""Monte Carlo output, pinned bit for bit; the entry that keeps the states of
+the most recent draw; and the draw and contraction in blocks of rows."""
 
 import hashlib
 import struct
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from bellforge import FlatMapId, MCSpec, bell, fivel_bell, resolution_of_unity_mc
-from bellforge.flatmaps import cp1_catalog, cpn_catalog
+from bellforge import FlatMapId, MCSpec, bell, fivel_bell, quadrature, resolution_of_unity_mc
+from bellforge.coherent import coherent_states
+from bellforge.flatmaps import cp1_catalog, cpn_catalog, global_unitary
+from bellforge.quadrature import sample_fubini_study
 
 # Two specs, run in the order A, B, A: the first map of each block draws, the
 # rest of the block reuses that draw, and the last block draws A again.
@@ -22,11 +25,13 @@ SPEC_B = MCSpec(samples=20_000, seed=12)
 # x86-64. First recorded before the Monte Carlo states were kept between
 # calls; recorded again when global_unitary began to build each cpn map from
 # its phases omega^(pk) rather than from the product shift^q clock^p, which
-# moved the CP^2 amplitudes with p >= 1 by at most 1.7e-16. The bytes depend
+# moved the CP^2 amplitudes with p >= 1 by at most 1.7e-16; and recorded
+# again when the contraction began to sum the samples in blocks of rows, which
+# moved the amplitudes by at most 3.4e-16. The bytes depend
 # on libm and on the BLAS summation order; a different build may change the
 # last bits, and then the hash has to be recorded again from code that draws
 # afresh on every call. Run this file as a script to print the current hash.
-MC_GOLDEN_SHA256 = "853d5dc30f5be97ed3517bf9a8116fac3b1d1740f50b258144779a191907afe9"
+MC_GOLDEN_SHA256 = "f266866156b401e597531d6d21c50be6bf07d646ff8c0f01380b6c8797da43e4"
 
 
 def mc_digest_bytes() -> bytes:
@@ -64,13 +69,13 @@ def draws(monkeypatch):
     """Starts from an empty entry and counts the draws bell makes."""
     monkeypatch.setattr(bell, "_last_draw", None)
     specs = []
-    original = bell.sample_fubini_study
+    original = bell._draw
 
-    def counting(n, spec):
+    def counting(n, spec, width, evaluate):
         specs.append(spec)
-        return original(n, spec)
+        return original(n, spec, width, evaluate)
 
-    monkeypatch.setattr(bell, "sample_fubini_study", counting)
+    monkeypatch.setattr(bell, "_draw", counting)
     return specs
 
 
@@ -83,25 +88,42 @@ def test_a_hit_is_bitwise_equal_to_a_miss(flat, two_j, draws):
     assert hit_residual == miss_residual
 
 
+def one_shot_rows(n, spec):
+    """The draw of sample_fubini_study taken at once, written out here."""
+    u = np.random.Generator(np.random.PCG64(spec.seed)).random((spec.samples, n + 1, 2))
+    return np.sqrt(-np.log1p(-u[..., 0])) * np.exp(2.0 * np.pi * 1j * u[..., 1])
+
+
+# 10,001 is not a multiple of any block: 8192 rows of 2 entries, 4096 of 4, 2730 of 6
+SPEC_ODD = MCSpec(samples=10_001, seed=31)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_the_blocked_draw_equals_one_draw_of_all_the_samples(n):
+    assert quadrature._block_rows(n + 1) < SPEC_ODD.samples
+    rows = sample_fubini_study(n, SPEC_ODD)
+    assert rows.shape == (SPEC_ODD.samples, n + 1)
+    assert rows.tobytes() == one_shot_rows(n, SPEC_ODD).tobytes()
+
+
 def test_cached_states_equal_a_fresh_draw(draws):
-    from bellforge.coherent import level_one_states_from_homogeneous, spin_states_from_homogeneous
-    from bellforge.quadrature import sample_fubini_study
-
-    level_one = level_one_states_from_homogeneous(sample_fubini_study(3, SPEC_A))
-    spin = spin_states_from_homogeneous(5, sample_fubini_study(1, SPEC_A))
-    for _ in range(2):
-        for space, states in (("cpn", level_one), ("cp1", spin)):
-            dim = states.shape[1]
-            weighted, conj = bell._weighted_states(space, dim, SPEC_A)
-            assert weighted.tobytes("A") == ((dim / SPEC_A.samples) * states.T).tobytes("A")
-            assert conj.tobytes() == states.conj().tobytes()
-    assert len(draws) == 4
+    for space, n, two_j in (("cp1", 1, 5), ("cpn", 3, 1)):
+        dim = two_j + 1 if space == "cp1" else n + 1
+        fresh = coherent_states(space, sample_fubini_study(n, SPEC_ODD), two_j)
+        for _ in range(2):
+            states, weight = bell._points(space, dim, SPEC_ODD)
+            assert states.tobytes() == fresh.tobytes()
+            assert weight == dim / SPEC_ODD.samples
+    assert len(draws) == 2
 
 
-def test_the_operands_take_two_complex_arrays_of_the_samples(draws):
-    # the README figure: 2 x samples x dim x 16 bytes, 128 MB at 1,000,000 samples on CP^3
-    operands = bell._weighted_states("cpn", 4, SPEC_A)
-    assert sum(a.nbytes for a in operands) == 2 * SPEC_A.samples * 4 * 16
+def test_the_entry_holds_one_complex_array_of_the_samples(draws):
+    # the README figure: samples x dim x 16 bytes, 64 MB at 1,000,000 samples on CP^3
+    fivel_bell(FlatMapId.cpn(3, 1, 2), SPEC_A)
+    key, states = bell._last_draw
+    assert key == ("cpn", 4, SPEC_A)
+    assert isinstance(states, np.ndarray) and states.base is None
+    assert states.nbytes == SPEC_A.samples * 4 * 16
 
 
 def test_a_change_of_seed_samples_spin_or_space_is_a_miss(draws):
@@ -125,27 +147,64 @@ def test_a_change_of_seed_samples_spin_or_space_is_a_miss(draws):
 def test_the_previous_entry_is_released_before_the_next_draw(monkeypatch):
     monkeypatch.setattr(bell, "_last_draw", None)
     fivel_bell(FlatMapId.cpn(2, 0, 0), SPEC_A)
-    previous = [weakref.ref(operand) for operand in bell._last_draw[1]]
+    previous = weakref.ref(bell._last_draw[1])
     alive_at_draw = []
-    original = bell.sample_fubini_study
+    original = bell._draw
 
-    def sampler(n, spec):
-        alive_at_draw.append([ref() is not None for ref in previous])
-        return original(n, spec)
+    def drawing(*args):
+        alive_at_draw.append(previous() is not None)
+        return original(*args)
 
-    monkeypatch.setattr(bell, "sample_fubini_study", sampler)
+    monkeypatch.setattr(bell, "_draw", drawing)
     fivel_bell(FlatMapId.cpn(2, 0, 0), SPEC_B)
-    assert alive_at_draw == [[False, False]]
+    assert alive_at_draw == [False]
 
 
 def test_the_cached_states_are_read_only(draws):
-    operands = bell._weighted_states("cpn", 3, SPEC_A)
-    for operand in operands:
-        assert not operand.flags.writeable
-        with pytest.raises(ValueError):
-            operand[0, 0] = 0.0
-    again = bell._weighted_states("cpn", 3, SPEC_A)
-    assert all(a is b for a, b in zip(again, operands, strict=True))
+    states, _ = bell._points("cpn", 3, SPEC_A)
+    assert not states.flags.writeable
+    with pytest.raises(ValueError):
+        states[0, 0] = 0.0
+    again, _ = bell._points("cpn", 3, SPEC_A)
+    assert again is states
+
+
+def hit_peak_bytes(spec) -> int:
+    """tracemalloc peak of one fivel_bell call that finds its draw in the entry."""
+    flat = FlatMapId.cpn(3, 1, 2)
+    fivel_bell(flat, spec)
+    tracemalloc.start()
+    try:
+        fivel_bell(flat, spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_memory_of_a_hit_does_not_grow_with_the_samples(monkeypatch):
+    monkeypatch.setattr(bell, "_last_draw", None)
+    small = hit_peak_bytes(MCSpec(samples=50_000, seed=3))
+    large = hit_peak_bytes(MCSpec(samples=200_000, seed=3))
+    # three block buffers of 4096 x 4 complex entries and a few 4 x 4 matrices
+    assert large <= 4 * (1 << 18)
+    assert abs(large - small) <= 4096
+    # one samples x dim array of the 200,000-row draw would be 12.8 MB
+    assert large < 200_000 * 4 * 16 // 10
+
+
+@pytest.mark.parametrize("weights", ["scalar", "per row"])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_the_blocked_contraction_equals_one_product(weights, twisted):
+    rng = np.random.default_rng(4)
+    rows = quadrature._block_rows(3) * 2 + 17
+    states = rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3))
+    w = 0.5 if weights == "scalar" else rng.random(rows)
+    u = global_unitary(FlatMapId.cpn(2, 1, 2), 3) if twisted else None
+    right = states.conj() if u is None else states.conj() @ u.T
+    want = (np.reshape(w, (-1, 1)) * states).T @ right
+    got = bell._contract(states, w, u)
+    assert got.shape == (3, 3)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_threads_sharing_the_entry_get_the_states_of_their_own_spec(monkeypatch):
