@@ -142,32 +142,36 @@ def _points(space: str, dim: int, spec: QuadratureSpecCP2 | MCSpec):
 
 def _contract(states: np.ndarray, weights, u: np.ndarray | None = None) -> np.ndarray:
     """sum_k w_k |Z_k> (x) U conj|Z_k> as a d x d matrix, one state Z_k per
-    row, or the frame operator sum_k w_k |Z_k><Z_k| when u is None; weights
-    is one weight per row or a single weight.
+    row, or the frame operator sum_k w_k |Z_k><Z_k| when u is None (U = I);
+    weights is one weight per row or a single weight.
 
-    Each block of rows is weighted, conjugated and twisted in buffers made
-    once per call, and (w block)^T @ (conj(block) U^T) is added to the total,
-    so no temporary grows with the number of rows.
+    The sum is taken in real arithmetic over the float64 view of the states,
+    2d interleaved (re, im) columns per row; states that are not C-ordered
+    are copied once to take that view. twist is the 2d x 2d real matrix
+    of z -> conj(z) U^T, the conjugation carried by its signs. Each block of
+    rows makes right = block @ twist in one buffer made once per call, scaled
+    in place by per-row weights, and adds block^T @ right to the 2d x 2d
+    total g, so no temporary grows with the number of rows. The d x d result
+    is read off g's four (re, im) quarters; a single weight scales it once.
     """
     rows, dim = states.shape
+    t = np.eye(dim) if u is None else u.T
+    twist = np.empty((2 * dim, 2 * dim))
+    twist[0::2, 0::2], twist[1::2, 1::2] = t.real, -t.real
+    twist[0::2, 1::2] = twist[1::2, 0::2] = t.imag
+    flat = np.ascontiguousarray(states, dtype=complex).view(np.float64)
     step = min(rows, _block_rows(dim))
-    weighted, conj, twisted = np.empty((3, step, dim), dtype=complex)
+    buffer = np.empty((step, 2 * dim))
     per_row = np.ndim(weights) == 1
-    total = product = None
+    g = np.zeros((2 * dim, 2 * dim))
     for start in range(0, rows, step):
-        block = states[start : start + step]
-        m = len(block)
-        w = weights[start : start + m, None] if per_row else weights
-        left = np.multiply(block, w, out=weighted[:m]).T
-        right = np.conjugate(block, out=conj[:m])
-        if u is not None:
-            right = np.matmul(right, u.T, out=twisted[:m])
-        if total is None:
-            total = left @ right
-        else:  # the d x d product of every later block goes through one buffer
-            product = np.matmul(left, right, out=product)
-            total += product
-    return total
+        block = flat[start : start + step]
+        right = np.matmul(block, twist, out=buffer[: len(block)])
+        if per_row:
+            right *= weights[start : start + len(block), None]
+        g += block.T @ right
+    total = (g[0::2, 0::2] - g[1::2, 1::2]) + 1j * (g[0::2, 1::2] + g[1::2, 0::2])
+    return total if per_row else total * weights
 
 
 def _cp1_integral(two_j: int, spec: QuadratureSpecCP1, term):

@@ -16,6 +16,7 @@ the wall-time line goes to stderr and is excluded from that contract.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -100,15 +101,22 @@ class Report:
     def exit_code(self) -> int:
         return 0 if self.ok else 1
 
-    def finish(self, csv_path: str | None) -> int:
-        """Print the report and write its CSV; the CSV is opened first, so a
-        path that cannot be written exits 2 before any line is printed."""
-        if not csv_path:
+    def finish(self, csv_path: str | None, documents: dict | None = None) -> int:
+        """Write each JSON document of `documents` (path -> document), print
+        the report and write its CSV. Every file is opened first, so a path
+        that cannot be written exits 2 before any line is printed or any file
+        is written, and leaves no file behind that was not there before."""
+        documents = documents or {}
+        outputs = [(path, {}) for path in documents]
+        if csv_path:
+            outputs.append((csv_path, {"newline": ""}))
+        with _open_outputs(outputs) as handles:
+            for document, handle in zip(documents.values(), handles):
+                _dump_json(document, handle)
+                handle.flush()  # whole before the report, should the file be stdout
             self.emit()
-        else:
-            with _open_output(csv_path, newline="") as handle:
-                self.emit()
-                self.write_csv(handle)
+            if csv_path:
+                self.write_csv(handles[-1])
         return self.exit_code()
 
 
@@ -139,8 +147,29 @@ def _open_output(path: str, **options):
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-# Peak bytes of one amplitude of a state document: its [re, im] list and
-# floats, the pieces json.dumps joins and the text, about 455 bytes measured.
+@contextlib.contextmanager
+def _open_outputs(outputs):
+    """Handles of the (path, open options) pairs of outputs, all opened before
+    the body runs; when one cannot be opened, the files opened before it that
+    did not exist are removed and the usage error propagates."""
+    with contextlib.ExitStack() as stack:
+        handles, created = [], []
+        try:
+            for path, options in outputs:
+                existed = os.path.exists(path)
+                handles.append(stack.enter_context(_open_output(path, **options)))
+                created += [] if existed else [path]
+        except DomainError:
+            stack.close()
+            for path in created:
+                os.remove(path)
+            raise
+        yield handles
+
+
+# Bytes charged per amplitude of a state document. The document is written a
+# block of amplitudes at a time, about 34 bytes of text each, so this bounds
+# the file, not the memory of writing it.
 _DOCUMENT_BYTES_PER_AMPLITUDE = 512
 
 
@@ -149,32 +178,58 @@ def _check_document(dim: int) -> None:
     check_array_bytes(_DOCUMENT_BYTES_PER_AMPLITUDE * dim * dim, f"the JSON document of {dim}^2 amplitudes")
 
 
+# A document is a dict of JSON values and complex arrays; an array is written
+# as nested lists with one [re, im] list per entry.
 def _state_document(state: bell.BipartiteState) -> dict:
-    return {
-        "kind": "bipartite",
-        "dim_a": state.dim_a,
-        "dim_b": state.dim_b,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
-    }
+    return {"kind": "bipartite", "dim_a": state.dim_a, "dim_b": state.dim_b, "amplitudes": state.amplitudes}
 
 
 def _matrix_document(matrix: np.ndarray) -> dict:
-    return {
-        "kind": "matrix",
-        "dim": matrix.shape[0],
-        "entries": [
-            [[float(v.real), float(v.imag)] for v in row] for row in np.asarray(matrix, complex)
-        ],
-    }
+    return {"kind": "matrix", "dim": matrix.shape[0], "entries": np.asarray(matrix, complex)}
+
+
+# entries of a complex array formatted per block of _write_array
+_JSON_BLOCK = 4096
+
+
+def _write_array(array: np.ndarray, handle, depth: int) -> None:
+    """The text json.dumps(indent=2) gives a nonempty array as nested [re, im]
+    lists at nesting depth `depth`, written _JSON_BLOCK entries at a time; the
+    floats are formatted by json.dumps itself (repr, or NaN and Infinity)."""
+    pad = "\n" + "  " * (depth + 1)
+    handle.write("[")
+    if array.ndim > 1:
+        for k, row in enumerate(array):
+            handle.write(("," if k else "") + pad)
+            _write_array(row, handle, depth + 1)
+    else:
+        pair = f"[{pad}  %s,{pad}  %s{pad}]"
+        for start in range(0, len(array), _JSON_BLOCK):
+            floats = np.ascontiguousarray(array[start : start + _JSON_BLOCK]).view(np.float64)
+            texts = iter(json.dumps(floats.tolist())[1:-1].split(", "))
+            handle.write(("," if start else "") + pad + ("," + pad).join(pair % p for p in zip(texts, texts)))
+    handle.write(pad[:-2] + "]")
+
+
+def _dump_json(document: dict, handle) -> None:
+    """Write json.dumps(document, indent=2) and a newline to handle, each
+    array through _write_array, so no text of a whole array is built."""
+    for k, (key, value) in enumerate(document.items()):
+        handle.write(("," if k else "{") + "\n  " + json.dumps(key) + ": ")
+        if isinstance(value, np.ndarray):
+            _write_array(value, handle, 1)
+        else:
+            handle.write(json.dumps(value))
+    handle.write("\n}\n")
 
 
 def _write_json(document: dict, path: str | None) -> None:
-    text = json.dumps(document, indent=2)
+    """The document to path, or to stdout when path is None."""
     if path is None:
-        print(text)
+        _dump_json(document, sys.stdout)
     else:
         with _open_output(path) as handle:
-            handle.write(text + "\n")
+            _dump_json(document, handle)
 
 
 def _resolve_flat(space="cp1", flat=None, two_j=None, n=None, p=0, q=0):
@@ -251,16 +306,15 @@ def _cmd_bell_make(args) -> int:
     return 0
 
 
-def _bell_integral(tol, notes, spec=None, output=None, **flags):
+def _bell_integral(tol, notes, spec=None, states=None, **flags):
     """The integral for one catalog map against its closed form, as `bell
-    integrate` checks it; the integrated state is written to `output` if given."""
+    integrate` checks it; the integrated state is appended to `states` if given."""
     flat, two_j, _ = _resolve_flat(**flags)
     state, norm_residual = bell.fivel_bell(flat, spec, two_j=two_j)
     distance = analysis.state_distance(state, bell.bell_target(flat, two_j=two_j))
     notes.append(f"closed form: {_closed_form_label(flat, two_j)}")
-    if output:
-        _write_json(_state_document(state), output)
-        notes.append(f"wrote: {output}")
+    if states is not None:
+        states.append(state)
     return [Check("state-distance", distance, tol), Check("norm-residual", norm_residual, tol)]
 
 
@@ -285,8 +339,13 @@ def _cmd_bell_integrate(args) -> int:
     if two_j is not None:
         config["two_j"] = two_j
     report = Report("bell integrate", config)
-    report.checks.extend(_bell_integral(tolerance, report.notes, spec, args.output, **flags))
-    return report.finish(args.csv)
+    states = []
+    report.checks.extend(_bell_integral(tolerance, report.notes, spec, states, **flags))
+    documents = {}
+    if args.output:
+        documents[args.output] = _state_document(states[0])
+        report.notes.append(f"wrote: {args.output}")
+    return report.finish(args.csv, documents)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -10,7 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellforge import cli, closed_form_bell_cp1, closed_form_bell_cp2, errors, generalized_bell, quadrature
+from bellforge import (
+    BipartiteState,
+    cli,
+    closed_form_bell_cp1,
+    closed_form_bell_cp2,
+    errors,
+    generalized_bell,
+    quadrature,
+)
 
 S2 = 1.0 / math.sqrt(2.0)
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
@@ -213,11 +222,23 @@ def _same_stdout_for_one_and_two_blas_threads(*argv):
     assert one.stdout == two.stdout
 
 
-def test_monte_carlo_stdout_is_the_same_for_one_and_two_blas_threads():
-    _same_stdout_for_one_and_two_blas_threads(
-        "bell", "integrate", "--space", "cpn", "--n", "4", "--p", "1", "--q", "2",
-        "--mc-samples", "200000", "--seed", "7",
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bell", "integrate", "--space", "cpn", "--n", "4", "--p", "1", "--q", "2",
+         "--mc-samples", "200000", "--seed", "7"),
+        ("bell", "integrate", "--space", "cp1", "--two-j", "2", "--flat", "cp1:3",
+         "--mc-samples", "200000", "--seed", "7"),
+        ("verify", "unity", "--space", "cp2"),
+    ],
+    ids=["cpn", "cp1", "unity-cp2"],
+)
+def test_monte_carlo_stdout_is_the_same_for_one_and_two_blas_threads(argv):
+    # each path contracts its states with real matrix products (dgemm): a
+    # Monte Carlo draw on CP^3 and on CP^1, and the per-row weights of the
+    # CP^2 rule in the frame operator; `bell integrate` over the CP^3 rule is
+    # the cp3 case of the quadrature test below
+    _same_stdout_for_one_and_two_blas_threads(*argv)
 
 
 @pytest.mark.parametrize(
@@ -513,6 +534,17 @@ def test_a_file_that_cannot_be_written_exits_2_before_any_report_line(argv, bell
     assert not missing.exists()
 
 
+@pytest.mark.parametrize(
+    "output, csv", [("state.json", "missing/r.csv"), ("missing/state.json", "r.csv")], ids=["csv", "output"]
+)
+def test_a_refused_output_leaves_no_file_behind(output, csv, bellforge, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ("bell", "integrate", "--space", "cp2", "--flat", "cp2:a2", "--output", output, "--csv", csv)
+    code, out, _ = bellforge(*argv)
+    assert (code, out) == (2, "")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "-0.001", "abc"])
 @pytest.mark.parametrize(
     "argv",
@@ -549,3 +581,30 @@ def test_the_largest_state_document_has_dimension_1448():
     cli._check_document(1448)
     with pytest.raises(errors.DomainError):
         cli._check_document(1449)
+
+
+def as_lists(document):
+    """The document with each complex array as nested [re, im] lists."""
+
+    def pairs(array):
+        if array.ndim > 1:
+            return [pairs(row) for row in array]
+        return [[float(z.real), float(z.imag)] for z in array]
+
+    return {key: pairs(v) if isinstance(v, np.ndarray) else v for key, v in document.items()}
+
+
+@pytest.mark.parametrize("kind", ["bipartite", "matrix"])
+def test_the_streamed_document_is_the_text_of_json_dumps(kind, monkeypatch):
+    monkeypatch.setattr(cli, "_JSON_BLOCK", 3)  # several blocks, the last one short
+    rng = np.random.default_rng(9)
+    values = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    # negative zeros, subnormals, and the NaN and Infinity json.dumps writes
+    values.flat[:5] = [-0.0, 5e-324, complex(-0.0, -5e-324), complex(2.2e-310, -0.0), complex(math.nan, -math.inf)]
+    if kind == "bipartite":
+        document = cli._state_document(BipartiteState(5, 5, values))
+    else:
+        document = cli._matrix_document(values)
+    handle = io.StringIO()
+    cli._dump_json(document, handle)
+    assert handle.getvalue() == json.dumps(as_lists(document), indent=2) + "\n"

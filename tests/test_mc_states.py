@@ -27,11 +27,13 @@ SPEC_B = MCSpec(samples=20_000, seed=12)
 # its phases omega^(pk) rather than from the product shift^q clock^p, which
 # moved the CP^2 amplitudes with p >= 1 by at most 1.7e-16; and recorded
 # again when the contraction began to sum the samples in blocks of rows, which
-# moved the amplitudes by at most 3.4e-16. The bytes depend
+# moved the amplitudes by at most 3.4e-16; and recorded again when the
+# contraction became two real matrix products per block over the float64 view
+# of the states, which moved the amplitudes by at most 7.8e-16. The bytes depend
 # on libm and on the BLAS summation order; a different build may change the
 # last bits, and then the hash has to be recorded again from code that draws
 # afresh on every call. Run this file as a script to print the current hash.
-MC_GOLDEN_SHA256 = "f266866156b401e597531d6d21c50be6bf07d646ff8c0f01380b6c8797da43e4"
+MC_GOLDEN_SHA256 = "24e4e7e4aa7a63eb6eb482211ff1b5e0f2884e52c91bf35cda3f7946da19dc73"
 
 
 def mc_digest_bytes() -> bytes:
@@ -185,25 +187,47 @@ def test_the_memory_of_a_hit_does_not_grow_with_the_samples(monkeypatch):
     monkeypatch.setattr(bell, "_last_draw", None)
     small = hit_peak_bytes(MCSpec(samples=50_000, seed=3))
     large = hit_peak_bytes(MCSpec(samples=200_000, seed=3))
-    # three block buffers of 4096 x 4 complex entries and a few 4 x 4 matrices
-    assert large <= 4 * (1 << 18)
+    # one block buffer of 4096 x 8 floats and a few 8 x 8 matrices
+    assert large <= (1 << 18) + 16384
     assert abs(large - small) <= 4096
     # one samples x dim array of the 200,000-row draw would be 12.8 MB
     assert large < 200_000 * 4 * 16 // 10
 
 
+def contraction_case(twisted, rng):
+    """(states, u) for the contraction test: a frame operator (False) or a
+    catalog map (True) on a C-ordered array of dimension 3, or one of the
+    named cases, each twisted."""
+    dim = 1 if twisted == "at d = 1" else 3
+    rows = quadrature._block_rows(dim) * 2 + 17
+    states = rng.normal(size=(2 * rows, dim)) + 1j * rng.normal(size=(2 * rows, dim))
+    states = states[::2] if twisted == "row-strided" else states[:rows]
+    if twisted == "Fortran-ordered":
+        states = np.asfortranarray(states)
+    if twisted == "by a dense unitary":
+        u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        assert np.all(np.abs(u) > 0)  # no monomial structure to lean on
+    elif twisted == "at d = 1":
+        u = np.array([[np.exp(0.7j)]])
+    else:
+        u = global_unitary(FlatMapId.cpn(2, 1, 2), 3) if twisted else None
+    return states, u
+
+
 @pytest.mark.parametrize("weights", ["scalar", "per row"])
-@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize(
+    "twisted", [False, True, "by a dense unitary", "at d = 1", "row-strided", "Fortran-ordered"]
+)
 def test_the_blocked_contraction_equals_one_product(weights, twisted):
     rng = np.random.default_rng(4)
-    rows = quadrature._block_rows(3) * 2 + 17
-    states = rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3))
+    states, u = contraction_case(twisted, rng)
+    rows, dim = states.shape
+    assert states.flags.c_contiguous == (twisted not in ("row-strided", "Fortran-ordered"))
     w = 0.5 if weights == "scalar" else rng.random(rows)
-    u = global_unitary(FlatMapId.cpn(2, 1, 2), 3) if twisted else None
     right = states.conj() if u is None else states.conj() @ u.T
     want = (np.reshape(w, (-1, 1)) * states).T @ right
     got = bell._contract(states, w, u)
-    assert got.shape == (3, 3)
+    assert got.shape == (dim, dim)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
